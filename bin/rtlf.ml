@@ -29,6 +29,27 @@ let fmt = Format.std_formatter
 
 (* --- shared argument definitions ------------------------------------- *)
 
+(* Converters that reject degenerate values at parse time, so cmdliner
+   reports them as usage errors (exit 124) naming the option. [what]
+   names the quantity in the message. *)
+let positive_int what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= 1 -> Ok v
+    | Some _ -> Error (`Msg (what ^ " must be >= 1"))
+    | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float what =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v > 0.0 -> Ok v
+    | Some _ -> Error (`Msg (what ^ " must be a finite number > 0"))
+    | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let fast_flag =
   let doc = "Run a reduced sweep (fewer points, shorter horizons)." in
   Arg.(value & flag & info [ "fast" ] ~doc)
@@ -40,17 +61,8 @@ let jobs_arg =
      (1 = sequential). Defaults to the number of cores the runtime \
      recommends."
   in
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some j when j >= 1 -> Ok j
-      | Some _ -> Error (`Msg "jobs must be >= 1")
-      | None -> Error (`Msg (Printf.sprintf "invalid job count %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(value
-       & opt positive (Rtlf_engine.Pool.default_jobs ())
+       & opt (positive_int "job count") (Rtlf_engine.Pool.default_jobs ())
        & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let mode_of_fast fast =
@@ -62,7 +74,7 @@ let seed_arg =
 
 let tasks_arg =
   let doc = "Number of tasks." in
-  Arg.(value & opt int 10 & info [ "tasks" ] ~doc)
+  Arg.(value & opt (positive_int "task count") 10 & info [ "tasks" ] ~doc)
 
 let objects_arg =
   let doc = "Number of shared objects (and accesses per job)." in
@@ -70,11 +82,13 @@ let objects_arg =
 
 let load_arg =
   let doc = "Target approximate load AL = sum u_i/C_i." in
-  Arg.(value & opt float 0.5 & info [ "load" ] ~doc)
+  Arg.(value & opt (positive_float "load") 0.5 & info [ "load" ] ~doc)
 
 let exec_arg =
   let doc = "Mean job execution time in microseconds." in
-  Arg.(value & opt int 200 & info [ "exec-us" ] ~doc)
+  Arg.(value
+       & opt (positive_int "execution time") 200
+       & info [ "exec-us" ] ~doc)
 
 let sync_arg =
   let doc =
@@ -148,16 +162,9 @@ let sync_of = function
 
 let cores_arg =
   let doc = "Number of cores the simulated machine has." in
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some c when c >= 1 -> Ok c
-      | Some _ -> Error (`Msg "cores must be >= 1")
-      | None -> Error (`Msg (Printf.sprintf "invalid core count %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt positive 1 & info [ "cores" ] ~docv:"M" ~doc)
+  Arg.(value
+       & opt (positive_int "core count") 1
+       & info [ "cores" ] ~docv:"M" ~doc)
 
 let dispatch_arg =
   let doc = "Multicore dispatch policy: global or partitioned." in
@@ -191,7 +198,9 @@ let run_cmd =
        $(b,--cores 1 --cores 2 --cores 4)); defaults to 1, 2 and 4. \
        Other experiments are single-core and reject this flag."
     in
-    Arg.(value & opt_all int [] & info [ "cores" ] ~docv:"M" ~doc)
+    Arg.(value
+         & opt_all (positive_int "core count") []
+         & info [ "cores" ] ~docv:"M" ~doc)
   in
   let run name fast jobs cores =
     let mode = mode_of_fast fast in
@@ -200,8 +209,6 @@ let run_cmd =
         (false,
          Printf.sprintf "--cores applies only to the smp experiment, not %S"
            name)
-    else if List.exists (fun m -> m < 1) cores then
-      `Error (false, "--cores values must be >= 1")
     else if name = "all" then begin
       Experiments.All.run ~mode ~jobs fmt;
       `Ok ()
@@ -257,16 +264,7 @@ let trace_capacity_arg =
     "Bound the in-memory trace to the newest $(docv) entries \
      (drop-oldest ring buffer); unbounded by default."
   in
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some c when c > 0 -> Ok c
-      | Some _ -> Error (`Msg "trace capacity must be positive")
-      | None -> Error (`Msg (Printf.sprintf "invalid capacity %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt (some positive) None
+  Arg.(value & opt (some (positive_int "trace capacity")) None
        & info [ "trace-capacity" ] ~docv:"N" ~doc)
 
 (* Notices go to [dst] so --json keeps stdout machine-readable. *)

@@ -15,8 +15,10 @@ let of_chain ~now ~remaining chain =
 
 (* Equivalent to [of_chain ~now ~remaining [job]] but allocation-free:
    the schedulers call this once per live job per invocation. *)
-let of_job ~now ~remaining job =
-  let finish = now + remaining job in
+let of_rem ~now ~rem job =
+  let finish = now + rem in
   let utility = Job.utility_at job ~now:finish in
   let span = finish - now in
   if span <= 0 then infinity else utility /. float_of_int span
+
+let of_job ~now ~remaining job = of_rem ~now ~rem:(remaining job) job

@@ -28,3 +28,7 @@ val of_job :
   now:int -> remaining:(Rtlf_model.Job.t -> int) -> Rtlf_model.Job.t -> float
 (** [of_job ~now ~remaining j] is [of_chain] on the singleton chain —
     the lock-free RUA case where dependencies never arise. *)
+
+val of_rem : now:int -> rem:int -> Rtlf_model.Job.t -> float
+(** [of_rem ~now ~rem j] is [of_job] for a job whose remaining cost
+    [rem] the caller has already computed. *)

@@ -6,6 +6,7 @@ type t = {
   arrival : int;
   mutable state : state;
   mutable segments : Segment.t list;
+  mutable segs_left : int;
   mutable seg_progress : int;
   mutable holding : int list;
   mutable lock_pending : bool;
@@ -20,12 +21,14 @@ type t = {
 }
 
 let create ~task ~jid ~arrival =
+  let segments = Task.segments task in
   {
     task;
     jid;
     arrival;
     state = Ready;
-    segments = Task.segments task;
+    segments;
+    segs_left = List.length segments;
     seg_progress = 0;
     holding = [];
     lock_pending = false;
@@ -72,6 +75,7 @@ let finish_segment j =
   | [] -> invalid_arg "Job.finish_segment: no segment remaining"
   | _ :: tail ->
     j.segments <- tail;
+    j.segs_left <- j.segs_left - 1;
     j.seg_progress <- 0;
     j.lock_pending <- false;
     j.attempt_snapshot <- None;

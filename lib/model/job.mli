@@ -19,6 +19,10 @@ type t = {
   arrival : int;          (** absolute arrival time, ns *)
   mutable state : state;
   mutable segments : Segment.t list;  (** remaining profile, head is current *)
+  mutable segs_left : int;
+      (** [List.length segments], kept by {!create} and
+          {!finish_segment}: the remaining profile is always the last
+          [segs_left] segments of [Task.segments task] *)
   mutable seg_progress : int;
       (** ns of the head segment already executed *)
   mutable holding : int list;
@@ -71,10 +75,10 @@ val sojourn : t -> int option
 (** [sojourn j] is [completion − arrival] once completed. *)
 
 val finish_segment : t -> unit
-(** [finish_segment j] pops the head segment and resets per-segment
-    bookkeeping ([seg_progress], [lock_pending], [attempt_snapshot],
-    [access_enter]). Raises [Invalid_argument] if no segment
-    remains. *)
+(** [finish_segment j] pops the head segment (decrementing
+    [segs_left]) and resets per-segment bookkeeping ([seg_progress],
+    [lock_pending], [attempt_snapshot], [access_enter]). Raises
+    [Invalid_argument] if no segment remains. *)
 
 val restart_access : t -> unit
 (** [restart_access j] zeroes progress on the current (access) segment

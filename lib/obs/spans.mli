@@ -35,7 +35,9 @@ type t = {
   retries : span list;
   accesses : span list;
   sched : span list;
-  task_of : (int * int) list; (** jid → task id, from [Arrive] events *)
+  task_of : (int, int) Hashtbl.t;
+      (** jid → task id, from [Arrive] events; read it through
+          {!val:task_of} *)
   last_time : int;            (** greatest timestamp in the trace *)
   orphans : int;
       (** events whose matching opening entry was missing — non-zero

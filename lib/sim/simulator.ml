@@ -181,7 +181,7 @@ type state = {
   statics : Rtlf_core.Static_mode.t array;
       (* parallel to [schedulers] in static mode (each scheduler is the
          wrapper of the corresponding instance); empty in dynamic *)
-  remaining : Job.t -> int; (* hoisted: depends only on [cfg.sync] *)
+  remaining : Job.t -> int; (* built once per run: see [remaining_cost] *)
   trace : Trace.t;
   mutable now : int;
   cores : Cores.t;
@@ -258,22 +258,39 @@ let scheduler_name cfg =
     | Sync.Lock_free _ | Sync.Spin _ | Sync.Ideal -> "rua-lock-free")
 
 (* Remaining CPU demand of a job including nominal sync overheads —
-   what the scheduler uses for PUD and feasibility. Depends only on
-   the sync model, so the per-state closure is built once in [run]. *)
-let remaining_cost sync job =
-  let seg_cost = function
-    | Segment.Compute s -> s
-    | Segment.Access { work; _ } -> Sync.nominal_access_cost sync ~work
-    | Segment.Lock _ | Segment.Unlock _ -> (
-      match sync with
-      | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } -> overhead
-      | Sync.Lock_free _ | Sync.Ideal -> 0)
+   what the scheduler uses for PUD and feasibility: the unexecuted part
+   of the head segment plus every later segment, each at
+   [Sync.segment_cost]. A job's remaining profile is always the last
+   [segs_left] segments of its task's, so the sum is a table lookup:
+   per task, indexed by segments left [k], [tbl.(2k)] is the head
+   segment's cost and [tbl.(2k+1)] the summed cost of the [k-1]
+   segments after it. Depends only on the sync model and the task set,
+   so the tables are built once in [run]. *)
+let remaining_cost sync tasks =
+  let n_tasks =
+    1 + List.fold_left (fun acc t -> max acc t.Task.id) (-1) tasks
   in
-  match job.Job.segments with
-  | [] -> 0
-  | head :: tail ->
-    let head_left = max 0 (seg_cost head - job.Job.seg_progress) in
-    List.fold_left (fun acc s -> acc + seg_cost s) head_left tail
+  let tables = Array.make n_tasks [||] in
+  List.iter
+    (fun task ->
+      let costs =
+        Array.of_list (List.map (Sync.segment_cost sync) (Task.segments task))
+      in
+      let len = Array.length costs in
+      let tbl = Array.make (2 * (len + 1)) 0 in
+      for k = 1 to len do
+        tbl.(2 * k) <- costs.(len - k);
+        tbl.((2 * k) + 1) <- tbl.((2 * k) - 1) + tbl.(2 * (k - 1))
+      done;
+      tables.(task.Task.id) <- tbl)
+    tasks;
+  fun job ->
+    let k = job.Job.segs_left in
+    if k = 0 then 0
+    else begin
+      let tbl = tables.(job.Job.task.Task.id) in
+      max 0 (tbl.(2 * k) - job.Job.seg_progress) + tbl.((2 * k) + 1)
+    end
 
 let is_spin st =
   match st.cfg.sync with Sync.Spin _ -> true | _ -> false
@@ -1105,6 +1122,7 @@ let summarise st =
 
 let run cfg =
   validate cfg;
+  let remaining = remaining_cost cfg.sync cfg.tasks in
   let objects = Resource.create ~n:cfg.n_objects in
   let locks = Lock_manager.create ~objects in
   (* Theorem 2 is proved for RUA scheduling of lock-free sharing; the
@@ -1131,10 +1149,7 @@ let run cfg =
       (* One shared plan: profiles and learned pattern templates are
          reused across instances (all mutation happens inside decide
          calls, which the virtual clock serializes). *)
-      let plan =
-        Rtlf_core.Specialize.plan ~tasks:cfg.tasks
-          ~remaining:(remaining_cost cfg.sync)
-      in
+      let plan = Rtlf_core.Specialize.plan ~tasks:cfg.tasks ~remaining in
       let algo =
         match cfg.sched with
         | Edf -> Rtlf_core.Static_mode.Edf
@@ -1155,7 +1170,7 @@ let run cfg =
            Array.init n_schedulers (fun _ -> make_scheduler cfg locks)
          else Array.map Rtlf_core.Static_mode.scheduler statics);
       statics;
-      remaining = remaining_cost cfg.sync;
+      remaining;
       trace = Trace.create ?capacity:cfg.trace_capacity ~enabled:cfg.trace ();
       now = 0;
       cores = Cores.create ~m:cfg.cores ~policy:cfg.dispatch;

@@ -171,6 +171,16 @@ val run : config -> result
     ids, out-of-range object references, non-positive horizon, fewer
     than one core). *)
 
+val remaining_cost :
+  Sync.t -> Rtlf_model.Task.t list -> Rtlf_model.Job.t -> int
+(** [remaining_cost sync tasks] is the remaining-cost function {!run}
+    hands every decider: a job's unexecuted CPU demand including
+    nominal sync overheads, i.e. what is left of its head segment plus
+    every later segment, each at {!Sync.segment_cost}. Partial
+    application builds per-task suffix tables once, after which each
+    call is O(1) (it reads [Job.segs_left] and [Job.seg_progress]).
+    Jobs must belong to tasks in [tasks]. *)
+
 val scheduler_name : config -> string
 (** [scheduler_name cfg] is the name of the scheduler [run] would
     instantiate. *)

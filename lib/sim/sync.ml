@@ -21,6 +21,14 @@ let nominal_access_cost sync ~work =
   | Spin { overhead; _ } -> (2 * overhead) + work
   | Ideal -> 0
 
+let segment_cost sync = function
+  | Rtlf_model.Segment.Compute s -> s
+  | Rtlf_model.Segment.Access { work; _ } -> nominal_access_cost sync ~work
+  | Rtlf_model.Segment.Lock _ | Rtlf_model.Segment.Unlock _ -> (
+    match sync with
+    | Lock_based { overhead } | Spin { overhead; _ } -> overhead
+    | Lock_free _ | Ideal -> 0)
+
 let uses_lock_events = function
   | Lock_based _ | Spin _ -> true
   | Lock_free _ | Ideal -> false

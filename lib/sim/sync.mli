@@ -55,6 +55,13 @@ val nominal_access_cost : t -> work:int -> int
     [overhead + work] (lock-free), [0] (ideal). This is the paper's
     per-access [t_acc] used in remaining-cost estimates. *)
 
+val segment_cost : t -> Rtlf_model.Segment.t -> int
+(** [segment_cost sync seg] is the nominal CPU cost of one profile
+    segment: its span for [Compute], {!nominal_access_cost} for
+    [Access], and [overhead] for [Lock]/[Unlock] under lock-based and
+    spin sharing ([0] otherwise). A job's remaining cost is the sum over
+    its remaining segments, less the progress on the head one. *)
+
 val uses_lock_events : t -> bool
 (** [uses_lock_events sync] is [true] iff lock/unlock (or spin
     block/grant) events may appear in traces under [sync] (lock-based

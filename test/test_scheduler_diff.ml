@@ -215,6 +215,96 @@ let run_incremental kind () =
       done)
     [ 1; 4; 16; 64 ]
 
+(* --- overload-shaped scenes ---------------------------------------------- *)
+
+(* The shape the simulator's overload workloads hand the decider: about
+   a hundred live jobs or more, nearly all admissible, with ties in both
+   sort keys. Remaining costs and step heights come from small sets so
+   that PUDs collide (1/4 = 2/8 = 4/16), critical times from a coarse
+   grid so that eff_ct collides, and critical times are scaled to the
+   total demand so that at least 90 % of the candidates are admitted;
+   a few doomed jobs (critical time below their cost) are always
+   rejected. *)
+let overload_job rs ~jid ~n =
+  let rem = [| 4; 8; 16 |].(Random.State.int rs 3) in
+  let height = [| 1.0; 2.0; 4.0 |].(Random.State.int rs 3) in
+  let ct =
+    if Random.State.int rs 40 = 0 then 1 + Random.State.int rs (rem - 1)
+    else (5 * n) + (n / 2 * Random.State.int rs 9)
+  in
+  let arrival = 10 * Random.State.int rs 3 in
+  let task =
+    Task.make ~id:jid
+      ~tuf:(Tuf.step ~height ~c:ct)
+      ~arrival:(Uam.periodic ~period:(2 * ct))
+      ~exec:rem ()
+  in
+  Job.create ~task ~jid ~arrival
+
+(* One persistent decider instance runs every scene, each over a short
+   overload-like sequence: a job makes progress or aborts, and the
+   clock moves. Every step is checked against a fresh reference, and
+   decided twice. *)
+let run_overload () =
+  let rs = Test_support.rand_state () in
+  let opt = Rtlf_core.Rua_lock_free.make () in
+  let admitted = ref 0 and candidates = ref 0 in
+  List.iter
+    (fun n ->
+      for rep = 1 to 4 do
+        let jobs = Array.init n (fun jid -> overload_job rs ~jid ~n) in
+        let now = ref (Random.State.int rs 20) in
+        for step = 1 to 8 do
+          if step > 1 then begin
+            (match Random.State.int rs 3 with
+            | 0 ->
+              let j = jobs.(Random.State.int rs n) in
+              if Job.is_live j && Job.remaining_nominal j > 1 then
+                j.Job.seg_progress <- j.Job.seg_progress + 1
+            | 1 ->
+              let j = jobs.(Random.State.int rs n) in
+              if Job.is_live j then j.Job.state <- Job.Aborted
+            | _ -> ());
+            now := !now + Random.State.int rs 5
+          end;
+          let expected =
+            (Reference.rua_lock_free ()).Scheduler.decide ~now:!now ~jobs
+              ~remaining
+          in
+          let msg = Printf.sprintf "overload n=%d rep=%d step=%d" n rep step in
+          check_same ~msg expected
+            (opt.Scheduler.decide ~now:!now ~jobs ~remaining);
+          check_same ~msg:(msg ^ " (rerun)") expected
+            (opt.Scheduler.decide ~now:!now ~jobs ~remaining);
+          Array.iter (fun j -> if Job.is_live j then incr candidates) jobs;
+          admitted := !admitted + List.length expected.Scheduler.schedule
+        done
+      done)
+    [ 89; 100; 129; 300 ];
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 90%% admitted (%d of %d)" !admitted !candidates)
+    true
+    (10 * !admitted >= 9 * !candidates)
+
+(* The scoring pass overwrites the cache record as it goes. If
+   [remaining] raises half-way, the next decide on the same array must
+   rebuild, not serve the old decision from a record that now mixes
+   two states. *)
+let test_raising_remaining () =
+  let rs = Test_support.rand_state () in
+  let n = 16 in
+  let jobs, _locks = scene rs ~n ~with_chains:false in
+  let opt = Rtlf_core.Rua_lock_free.make () in
+  ignore (opt.Scheduler.decide ~now:0 ~jobs ~remaining);
+  jobs.(0).Job.state <- Job.Completed;
+  let raising j = if j == jobs.(n - 1) then failwith "boom" else remaining j in
+  (match opt.Scheduler.decide ~now:0 ~jobs ~remaining:raising with
+  | _ -> Alcotest.fail "remaining did not raise"
+  | exception Failure _ -> ());
+  check_same ~msg:"after a raising remaining"
+    ((Reference.rua_lock_free ()).Scheduler.decide ~now:0 ~jobs ~remaining)
+    (opt.Scheduler.decide ~now:0 ~jobs ~remaining)
+
 (* --- Log2 --------------------------------------------------------------- *)
 
 let test_log2_boundaries () =
@@ -251,11 +341,18 @@ let () =
           Alcotest.test_case "rua-lock-based = reference" `Quick
             (run_diff `Lock_based);
         ] );
+      ( "overload",
+        [
+          Alcotest.test_case "rua-lock-free overload scenes = reference"
+            `Quick run_overload;
+        ] );
       ( "incremental",
         [
           Alcotest.test_case "edf sequences = reference" `Quick
             (run_incremental `Edf);
           Alcotest.test_case "rua-lock-free sequences = reference" `Quick
             (run_incremental `Lock_free);
+          Alcotest.test_case "rua-lock-free cache after a raising remaining"
+            `Quick test_raising_remaining;
         ] );
     ]

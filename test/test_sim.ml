@@ -451,6 +451,98 @@ let test_retry_tails_per_task () =
       end)
     res.Simulator.per_task
 
+(* [Simulator.remaining_cost] reads a job's remaining cost from per-task
+   suffix tables at the job's [segs_left]. Step one job of every task
+   through its whole profile, under each sync discipline, and compare
+   every state (fresh, partial and over-run head progress, a restarted
+   access, each popped segment) against the definitional fold. The
+   fold's per-segment costs are written out here, independently of
+   [Sync.segment_cost], which the tables are built from. The task set
+   mixes flat contended accesses with a nested lock profile, so every
+   segment kind and every per-discipline cost is exercised. *)
+let test_remaining_matches_fold () =
+  let module Segment = Rtlf_model.Segment in
+  let nested =
+    Task.make_nested ~id:8
+      ~tuf:(Tuf.step ~height:5.0 ~c:(us 400))
+      ~arrival:(Uam.periodic ~period:(us 500))
+      ~profile:
+        [
+          Segment.Compute (us 20); Segment.Lock 1; Segment.Compute (us 10);
+          Segment.access ~obj:0 ~work:(us 3) (); Segment.Unlock 1;
+          Segment.Compute (us 5);
+        ]
+      ()
+  in
+  let tasks = Workload.make contention_spec @ [ nested ] in
+  let seg_cost sync = function
+    | Segment.Compute span -> span
+    | Segment.Access { work; _ } -> (
+      match sync with
+      | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } ->
+        (2 * overhead) + work
+      | Sync.Lock_free { overhead } -> overhead + work
+      | Sync.Ideal -> 0)
+    | Segment.Lock _ | Segment.Unlock _ -> (
+      match sync with
+      | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } -> overhead
+      | Sync.Lock_free _ | Sync.Ideal -> 0)
+  in
+  let fold sync job =
+    match job.Job.segments with
+    | [] -> 0
+    | head :: tail ->
+      List.fold_left
+        (fun acc seg -> acc + seg_cost sync seg)
+        (max 0 (seg_cost sync head - job.Job.seg_progress))
+        tail
+  in
+  List.iter
+    (fun sync ->
+      let remaining = Simulator.remaining_cost sync tasks in
+      List.iteri
+        (fun jid task ->
+          let job = Job.create ~task ~jid ~arrival:0 in
+          let check what =
+            let where =
+              Printf.sprintf "%s T%d, %d segments left, %s" (Sync.name sync)
+                task.Task.id
+                (List.length job.Job.segments)
+                what
+            in
+            Alcotest.(check int) (where ^ ": segs_left")
+              (List.length job.Job.segments) job.Job.segs_left;
+            Alcotest.(check int) (where ^ ": remaining") (fold sync job)
+              (remaining job)
+          in
+          check "fresh";
+          List.iter
+            (fun seg ->
+              let cost = seg_cost sync seg in
+              List.iter
+                (fun p ->
+                  job.Job.seg_progress <- p;
+                  check (Printf.sprintf "head progress %d" p))
+                [ 0; 1; cost / 2; cost; cost + 7 ];
+              if Segment.is_access seg then begin
+                Job.restart_access job;
+                check "restarted access"
+              end;
+              Job.finish_segment job;
+              check "segment finished")
+            (Task.segments task);
+          Alcotest.(check int)
+            (Printf.sprintf "%s T%d: finished job" (Sync.name sync)
+               task.Task.id)
+            0 (remaining job))
+        tasks)
+    [
+      Sync.Lock_based { overhead = 700 };
+      Sync.Lock_free { overhead = 300 };
+      Sync.Spin { overhead = 500; kind = Sync.Ticket };
+      Sync.Ideal;
+    ]
+
 (* The incremental deciders key their cross-invocation caches on the
    physical identity of the jobs array [Live_view.view] hands them.
    That contract has two sides: the view returns the same array while
@@ -507,6 +599,8 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "live-view aliasing across decides" `Quick
             test_live_view_decide_aliasing;
+          Alcotest.test_case "table remaining = segment fold at every segment"
+            `Quick test_remaining_matches_fold;
         ] );
       ( "scheduling",
         [

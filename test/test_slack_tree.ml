@@ -149,6 +149,78 @@ let test_order_independence () =
       Alcotest.(check bool) (msg "min_all vacant") true (is_vacant m1)
   done
 
+(* Random admit / prefix_rem / suffix_min / min_all sequences against a
+   flat-array oracle holding every position's value exactly: a vacant
+   position starts at [sentinel], each admission subtracts its [rem]
+   from every later position and overwrites its own with [slack]. So
+   even "no admitted position in range" answers must match to the unit.
+   One tree instance runs every size in turn, then the sizes again in
+   reverse, so each [reset] to a smaller n follows a larger, fully
+   written one: stale storage and pending adds must not leak. *)
+let test_random_vs_oracle () =
+  let rs = Test_support.rand_state () in
+  let t = Slack_tree.create () in
+  let sizes = [ 0; 1; 2; 3; 63; 64; 65; 127; 128; 129; 1000 ] in
+  List.iter
+    (fun n ->
+      Slack_tree.reset t ~n;
+      let v = Array.make n sentinel in
+      let rem_at = Array.make n 0 in
+      let vacant = ref (List.init n (fun p -> p)) in
+      let msg q = Printf.sprintf "n=%d %s" n q in
+      let check_queries () =
+        if n > 0 then begin
+          let pos = Random.State.int rs n in
+          let expect = ref 0 in
+          for q = 0 to pos do
+            expect := !expect + rem_at.(q)
+          done;
+          Alcotest.(check int)
+            (msg (Printf.sprintf "prefix_rem %d" pos))
+            !expect
+            (Slack_tree.prefix_rem t ~pos)
+        end;
+        let pos = Random.State.int rs (n + 2) in
+        let expect = ref sentinel in
+        for q = pos to n - 1 do
+          expect := min !expect v.(q)
+        done;
+        Alcotest.(check int)
+          (msg (Printf.sprintf "suffix_min %d" pos))
+          !expect
+          (Slack_tree.suffix_min t ~pos);
+        Alcotest.(check int) (msg "min_all")
+          (Array.fold_left min sentinel v)
+          (Slack_tree.min_all t)
+      in
+      check_queries ();
+      (* Admit about three quarters of the positions, in random order. *)
+      for _ = 1 to 3 * n / 4 do
+        let k = Random.State.int rs (List.length !vacant) in
+        let pos = List.nth !vacant k in
+        vacant := List.filter (( <> ) pos) !vacant;
+        let rem = 1 + Random.State.int rs 1000 in
+        let slack = Random.State.int rs 200_000 - 1000 in
+        Slack_tree.admit t ~pos ~rem ~slack;
+        for q = pos + 1 to n - 1 do
+          v.(q) <- v.(q) - rem
+        done;
+        v.(pos) <- slack;
+        rem_at.(pos) <- rem;
+        check_queries ()
+      done;
+      for pos = 0 to n - 1 do
+        let expect = ref sentinel in
+        for q = pos to n - 1 do
+          expect := min !expect v.(q)
+        done;
+        Alcotest.(check int)
+          (msg (Printf.sprintf "final suffix_min %d" pos))
+          !expect
+          (Slack_tree.suffix_min t ~pos)
+      done)
+    (sizes @ List.rev sizes)
+
 let () =
   Test_support.run "slack_tree"
     [
@@ -163,5 +235,7 @@ let () =
         [
           Alcotest.test_case "admission-order independence vs oracle" `Quick
             test_order_independence;
+          Alcotest.test_case "random sequences vs flat-array oracle" `Quick
+            test_random_vs_oracle;
         ] );
     ]
