@@ -210,20 +210,23 @@ module P2 = struct
 
   let count t = t.count
 
-  let parabolic t i d =
+  (* [parabolic] and [linear] are inlined into [add] and written
+     without local closures so that inlining can happen: their float
+     arguments and results then stay unboxed and [add] allocates
+     nothing. *)
+  let[@inline] parabolic t i d =
     let q = t.q and n = t.pos in
-    let fi = float_of_int in
     q.(i)
     +. d
-       /. fi (n.(i + 1) - n.(i - 1))
-       *. ((fi (n.(i) - n.(i - 1)) +. d)
+       /. float_of_int (n.(i + 1) - n.(i - 1))
+       *. ((float_of_int (n.(i) - n.(i - 1)) +. d)
            *. (q.(i + 1) -. q.(i))
-           /. fi (n.(i + 1) - n.(i))
-          +. (fi (n.(i + 1) - n.(i)) -. d)
+           /. float_of_int (n.(i + 1) - n.(i))
+          +. (float_of_int (n.(i + 1) - n.(i)) -. d)
              *. (q.(i) -. q.(i - 1))
-             /. fi (n.(i) - n.(i - 1)))
+             /. float_of_int (n.(i) - n.(i - 1)))
 
-  let linear t i s =
+  let[@inline] linear t i s =
     t.q.(i)
     +. float_of_int s
        *. (t.q.(i + s) -. t.q.(i))

@@ -20,15 +20,14 @@ type t = {
   mutable last_core : int;
 }
 
-let create ~task ~jid ~arrival =
-  let segments = Task.segments task in
+let create_shared ~task ~segments ~segs_left ~jid ~arrival =
   {
     task;
     jid;
     arrival;
     state = Ready;
     segments;
-    segs_left = List.length segments;
+    segs_left;
     seg_progress = 0;
     holding = [];
     lock_pending = false;
@@ -41,6 +40,11 @@ let create ~task ~jid ~arrival =
     accrued = 0.0;
     last_core = -1;
   }
+
+let create ~task ~jid ~arrival =
+  let segments = Task.segments task in
+  create_shared ~task ~segments ~segs_left:(List.length segments) ~jid
+    ~arrival
 
 let absolute_critical_time j = j.arrival + Task.critical_time j.task
 

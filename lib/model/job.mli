@@ -47,6 +47,20 @@ val create : task:Task.t -> jid:int -> arrival:int -> t
 (** [create ~task ~jid ~arrival] is a fresh [Ready] job with the full
     segment profile. *)
 
+val create_shared :
+  task:Task.t ->
+  segments:Segment.t list ->
+  segs_left:int ->
+  jid:int ->
+  arrival:int ->
+  t
+(** [create_shared ~task ~segments ~segs_left ~jid ~arrival] is
+    [create ~task ~jid ~arrival] with the profile supplied by the caller:
+    [segments] must be [Task.segments task] and [segs_left] its length.
+    Jobs only ever drop the head of their (immutable) list, so one list
+    built per task can be shared by all of the task's jobs instead of
+    rebuilt per job. *)
+
 val absolute_critical_time : t -> int
 (** [absolute_critical_time j] is [arrival + Cᵢ]. *)
 

@@ -23,47 +23,69 @@ let min_arrivals_in law ~span =
 (* Next arrival must be
    - at or after [times[n-a] + w]  (max side), and
    - at or before [times[n-l] + w] (min side, l >= 1),
-   where times is the history so far. We keep a circular buffer of the
-   last [a] arrival times. *)
-let generate law g ~start ~horizon =
-  if horizon <= start then []
+   where times is the history so far. A stepper keeps the last [a]
+   arrival times in a circular buffer (arrival [k] in slot [k mod a])
+   and draws one arrival per [next]. *)
+type stepper = {
+  law : t;
+  g : Prng.t;
+  start : int;
+  horizon : int;
+  hist : int array;
+  mutable count : int;
+  mutable last : int;
+  mutable stopped : bool;
+}
+
+let stepper law g ~start ~horizon =
+  {
+    law;
+    g;
+    start;
+    horizon;
+    hist = Array.make law.a start;
+    count = 0;
+    last = start;
+    stopped = horizon <= start;
+  }
+
+let next s =
+  if s.stopped then None
   else begin
-    let hist = Array.make law.a start in
-    let count = ref 0 in
-    let nth_back k =
-      (* time of the arrival k places before the next one (1-based) *)
-      hist.((!count - k) mod law.a)
+    let law = s.law in
+    let lo =
+      (* Never travel back in time: arrivals may coincide with the
+         previous one but not precede it. *)
+      max s.last
+        (if s.count >= law.a then s.hist.((s.count - law.a) mod law.a) + law.w
+         else s.start)
     in
-    let acc = ref [] in
-    let last = ref start in
-    let continue = ref true in
-    while !continue do
-      let lo =
-        (* Never travel back in time: arrivals may coincide with the
-           previous one but not precede it. *)
-        max !last
-          (if !count >= law.a then nth_back law.a + law.w else start)
-      in
-      let hi_min =
-        if law.l >= 1 && !count >= law.l then nth_back law.l + law.w
-        else if !count = 0 then start + law.w - 1
-        else max_int
-      in
-      if lo >= horizon then continue := false
-      else begin
-        let hi = min hi_min (horizon - 1) in
-        if hi < lo then continue := false
-        else begin
-          let time = Prng.int_in g ~lo ~hi in
-          acc := time :: !acc;
-          hist.(!count mod law.a) <- time;
-          last := time;
-          incr count
-        end
-      end
-    done;
-    List.rev !acc
+    let hi_min =
+      if law.l >= 1 && s.count >= law.l then
+        s.hist.((s.count - law.l) mod law.a) + law.w
+      else if s.count = 0 then s.start + law.w - 1
+      else max_int
+    in
+    let hi = min hi_min (s.horizon - 1) in
+    if lo >= s.horizon || hi < lo then begin
+      s.stopped <- true;
+      None
+    end
+    else begin
+      let time = Prng.int_in s.g ~lo ~hi in
+      s.hist.(s.count mod law.a) <- time;
+      s.last <- time;
+      s.count <- s.count + 1;
+      Some time
+    end
   end
+
+let generate law g ~start ~horizon =
+  let s = stepper law g ~start ~horizon in
+  let rec go acc =
+    match next s with None -> List.rev acc | Some time -> go (time :: acc)
+  in
+  go []
 
 let generate_worst_burst law ~start ~horizon =
   let rec windows t acc =

@@ -39,7 +39,22 @@ val generate :
   t -> Rtlf_engine.Prng.t -> start:int -> horizon:int -> int list
 (** [generate law g ~start ~horizon] draws a random arrival trace in
     [\[start, horizon)] satisfying [law], sorted non-decreasing. The
-    first arrival lands within [\[start, start + w)]. *)
+    first arrival lands within [\[start, start + w)]. The unfold of
+    {!stepper}. *)
+
+type stepper
+(** One task's arrival stream, drawn lazily: the state {!generate}
+    unfolds. *)
+
+val stepper :
+  t -> Rtlf_engine.Prng.t -> start:int -> horizon:int -> stepper
+(** [stepper law g ~start ~horizon] is a stream that yields, one {!next}
+    at a time, exactly the arrivals [generate law g ~start ~horizon]
+    returns, drawing from [g] in the same order. *)
+
+val next : stepper -> int option
+(** [next s] is the stream's next arrival time, or [None] once it is
+    exhausted (and forever after). Non-decreasing. *)
 
 val generate_worst_burst : t -> start:int -> horizon:int -> int list
 (** [generate_worst_burst law ~start ~horizon] is the adversarial trace

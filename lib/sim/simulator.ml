@@ -56,10 +56,6 @@ let equeue_add q ~time e =
   | Heap_q h -> Event_queue.add h ~time e
   | Wheel_q w -> Timing_wheel.add w ~time e
 
-let equeue_peek = function
-  | Heap_q h -> Event_queue.peek h
-  | Wheel_q w -> Timing_wheel.peek w
-
 let equeue_peek_time = function
   | Heap_q h -> Event_queue.peek_time h
   | Wheel_q w -> Timing_wheel.peek_time w
@@ -165,11 +161,106 @@ type result = {
       (* summed over scheduler instances; [None] in dynamic mode *)
 }
 
-type event = Arrival of Task.t | Expiry of int
+(* --- arrival stream ---------------------------------------------------- *)
+
+(* Arrivals are drawn lazily: one UAM stepper per task, whose single
+   pending arrival sits in a binary min-heap on (time, rank), rank being
+   the task's position in [cfg.tasks]. The event queue holds only
+   expiries, and at equal times an arrival is handled before any
+   expiry. That reproduces exactly the (time, seq) order of an event
+   queue into which every arrival of the horizon was enqueued up front,
+   task by task, before any expiry: same-time arrivals pop by rank
+   (then in stream order, since a task's next arrival is drawn only
+   once its previous one has popped), ahead of every expiry. *)
+module Arrivals = struct
+  type t = {
+    tasks : Task.t array; (* by rank *)
+    streams : Uam.stepper array; (* by rank *)
+    time : int array; (* heap slots: pending arrival time ... *)
+    rank : int array; (* ... and its task's rank *)
+    mutable size : int;
+  }
+
+  let before t i j =
+    t.time.(i) < t.time.(j)
+    || (t.time.(i) = t.time.(j) && t.rank.(i) < t.rank.(j))
+
+  let swap t i j =
+    let ti = t.time.(i) and ri = t.rank.(i) in
+    t.time.(i) <- t.time.(j);
+    t.rank.(i) <- t.rank.(j);
+    t.time.(j) <- ti;
+    t.rank.(j) <- ri
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let p = (i - 1) / 2 in
+      if before t i p then begin
+        swap t i p;
+        sift_up t p
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 in
+    if l < t.size then begin
+      let c = if l + 1 < t.size && before t (l + 1) l then l + 1 else l in
+      if before t c i then begin
+        swap t c i;
+        sift_down t c
+      end
+    end
+
+  (* Each task's generator is split off [root] in [tasks] order before
+     anything is drawn. Drawing from a task's generator never touches
+     [root], so this is the same as splitting and then generating the
+     whole trace task by task. *)
+  let create tasks root ~horizon =
+    let tasks = Array.of_list tasks in
+    let streams =
+      Array.map
+        (fun task ->
+          Uam.stepper task.Task.arrival (Prng.split root) ~start:0 ~horizon)
+        tasks
+    in
+    let n = Array.length tasks in
+    let t =
+      { tasks; streams; time = Array.make n 0; rank = Array.make n 0; size = 0 }
+    in
+    Array.iteri
+      (fun r stream ->
+        match Uam.next stream with
+        | None -> ()
+        | Some time ->
+          let i = t.size in
+          t.time.(i) <- time;
+          t.rank.(i) <- r;
+          t.size <- i + 1;
+          sift_up t i)
+      streams;
+    t
+
+  (* Time of the earliest pending arrival; [max_int] when none is left. *)
+  let next_time t = if t.size = 0 then max_int else t.time.(0)
+
+  (* Remove the earliest pending arrival, draw its task's next one, and
+     return the task. The heap must be non-empty. *)
+  let pop t =
+    let r = t.rank.(0) in
+    (match Uam.next t.streams.(r) with
+    | Some time -> t.time.(0) <- time
+    | None ->
+      t.size <- t.size - 1;
+      t.time.(0) <- t.time.(t.size);
+      t.rank.(0) <- t.rank.(t.size));
+    sift_down t 0;
+    t.tasks.(r)
+end
 
 type state = {
   cfg : config;
-  queue : event equeue;
+  arrivals : Arrivals.t;
+  queue : int equeue; (* expiries, by jid *)
   objects : Resource.t;
   locks : Lock_manager.t;
       (* lock-based blocking and the spin-lock grant table share the
@@ -181,13 +272,25 @@ type state = {
   statics : Rtlf_core.Static_mode.t array;
       (* parallel to [schedulers] in static mode (each scheduler is the
          wrapper of the corresponding instance); empty in dynamic *)
+  segments : Segment.t list array;
+  segs_left : int array;
+      (* per task id, built once per run and shared by every job of the
+         task: see [Job.create_shared] *)
   remaining : Job.t -> int; (* built once per run: see [remaining_cost] *)
   trace : Trace.t;
   mutable now : int;
   cores : Cores.t;
   mutable next_jid : int;
   live : Live_view.t;
-  mutable resolved : Job.t list;
+  (* Resolved jobs are folded into per-task counters as they resolve;
+     only completed jobs are kept, for the float statistics [summarise]
+     must add in resolution order. *)
+  released : int array; (* per task id *)
+  aborted : int array;
+  total_retries : int array;
+  max_retries : int array;
+  mutable preemptions : int;
+  mutable completed_jobs : Job.t list; (* newest first *)
   mutable sched_invocations : int;
   mutable sched_overhead : int;
   mutable busy : int;
@@ -266,15 +369,22 @@ let scheduler_name cfg =
    segment's cost and [tbl.(2k+1)] the summed cost of the [k-1]
    segments after it. Depends only on the sync model and the task set,
    so the tables are built once in [run]. *)
-let remaining_cost sync tasks =
-  let n_tasks =
-    1 + List.fold_left (fun acc t -> max acc t.Task.id) (-1) tasks
-  in
-  let tables = Array.make n_tasks [||] in
+let n_tasks tasks =
+  1 + List.fold_left (fun acc t -> max acc t.Task.id) (-1) tasks
+
+(* Each task's segment list, by task id. *)
+let task_segments tasks =
+  let segs = Array.make (n_tasks tasks) [] in
+  List.iter (fun task -> segs.(task.Task.id) <- Task.segments task) tasks;
+  segs
+
+let remaining_of_segments sync tasks segments =
+  let tables = Array.make (n_tasks tasks) [||] in
   List.iter
     (fun task ->
       let costs =
-        Array.of_list (List.map (Sync.segment_cost sync) (Task.segments task))
+        Array.of_list
+          (List.map (Sync.segment_cost sync) segments.(task.Task.id))
       in
       let len = Array.length costs in
       let tbl = Array.make (2 * (len + 1)) 0 in
@@ -291,6 +401,9 @@ let remaining_cost sync tasks =
       let tbl = tables.(job.Job.task.Task.id) in
       max 0 (tbl.(2 * k) - job.Job.seg_progress) + tbl.((2 * k) + 1)
     end
+
+let remaining_cost sync tasks =
+  remaining_of_segments sync tasks (task_segments tasks)
 
 let is_spin st =
   match st.cfg.sync with Sync.Spin _ -> true | _ -> false
@@ -317,12 +430,20 @@ let spin_pinned st job =
    auditor and the per-task retry-tail estimators feed off it. *)
 let resolve st job =
   let task_id = job.Job.task.Task.id in
-  Audit.observe st.audit ~task_id ~jid:job.Job.jid ~retries:job.Job.retries
-    ~time:st.now;
-  Stats.P2.track st.retry_tails.(task_id) (float_of_int job.Job.retries);
+  let retries = job.Job.retries in
+  Audit.observe st.audit ~task_id ~jid:job.Job.jid ~retries ~time:st.now;
+  Stats.P2.track st.retry_tails.(task_id) (float_of_int retries);
   Live_view.remove st.live ~jid:job.Job.jid;
   Cores.retire st.cores job;
-  st.resolved <- job :: st.resolved
+  st.released.(task_id) <- st.released.(task_id) + 1;
+  st.total_retries.(task_id) <- st.total_retries.(task_id) + retries;
+  if retries > st.max_retries.(task_id) then
+    st.max_retries.(task_id) <- retries;
+  st.preemptions <- st.preemptions + job.Job.preemptions;
+  match job.Job.state with
+  | Job.Completed -> st.completed_jobs <- job :: st.completed_jobs
+  | Job.Aborted -> st.aborted.(task_id) <- st.aborted.(task_id) + 1
+  | Job.Ready | Job.Running | Job.Blocked _ -> assert false
 
 let complete_job st job =
   job.Job.state <- Job.Completed;
@@ -664,34 +785,45 @@ let invoke_dispatcher st =
 
 (* --- event handling ------------------------------------------------- *)
 
-let handle_event st time ev =
-  match ev with
-  | Arrival task ->
-    let jid = st.next_jid in
-    st.next_jid <- st.next_jid + 1;
-    let job = Job.create ~task ~jid ~arrival:time in
-    Live_view.add st.live job;
-    Cores.admit st.cores job;
-    equeue_add st.queue
-      ~time:(Job.absolute_critical_time job)
-      (Expiry jid);
-    Trace.record st.trace ~time:st.now
-      (Trace.Arrive (jid, task.Task.id, time))
-  | Expiry jid -> (
-    match Live_view.find st.live ~jid with
-    | None -> () (* already resolved *)
-    | Some job -> abort_job st job)
+let arrive st time task =
+  let jid = st.next_jid in
+  st.next_jid <- st.next_jid + 1;
+  let id = task.Task.id in
+  let job =
+    Job.create_shared ~task ~segments:st.segments.(id)
+      ~segs_left:st.segs_left.(id) ~jid ~arrival:time
+  in
+  Live_view.add st.live job;
+  Cores.admit st.cores job;
+  equeue_add st.queue ~time:(Job.absolute_critical_time job) jid;
+  Trace.record st.trace ~time:st.now (Trace.Arrive (jid, id, time))
+
+let expire st jid =
+  match Live_view.find st.live ~jid with
+  | None -> () (* already resolved *)
+  | Some job -> abort_job st job
+
+let queue_time st =
+  match equeue_peek_time st.queue with Some t -> t | None -> max_int
+
+(* Time of the next pending event, arrival or expiry; [max_int] when
+   none is left. *)
+let next_event_time st =
+  Int.min (Arrivals.next_time st.arrivals) (queue_time st)
 
 (* Pop and handle every event due at or before [st.now] (and within the
-   horizon). Returns the number handled. *)
+   horizon), an arrival ahead of an expiry at the same time. Returns the
+   number handled. *)
 let process_due_events st =
   let rec go n =
-    match equeue_peek st.queue with
-    | Some (t, _) when t <= st.now && t < st.cfg.horizon ->
-      let t, ev = equeue_pop_exn st.queue in
-      handle_event st t ev;
+    let ta = Arrivals.next_time st.arrivals and tq = queue_time st in
+    let t = Int.min ta tq in
+    if t <= st.now && t < st.cfg.horizon then begin
+      if ta <= tq then arrive st ta (Arrivals.pop st.arrivals)
+      else expire st (snd (equeue_pop_exn st.queue));
       go (n + 1)
-    | Some _ | None -> n
+    end
+    else n
   in
   go 0
 
@@ -933,11 +1065,7 @@ let run_slice st =
         if s < !dmin then dmin := s
       end
   done;
-  let next_ev =
-    match equeue_peek_time st.queue with
-    | Some t -> min t st.cfg.horizon
-    | None -> st.cfg.horizon
-  in
+  let next_ev = Int.min (next_event_time st) st.cfg.horizon in
   let cbusy = Cores.busy st.cores in
   let burn delta =
     if delta > 0 then
@@ -993,75 +1121,67 @@ let rec main_loop st =
       run_slice st;
       main_loop st
     end
-    else
-      match equeue_peek_time st.queue with
-      | None -> () (* no events, nothing running: done *)
-      | Some t when t >= st.cfg.horizon -> ()
-      | Some t ->
+    else begin
+      (* Nothing running: jump to the next event, or stop when none is
+         left within the horizon. *)
+      let t = next_event_time st in
+      if t < st.cfg.horizon then begin
         st.now <- max st.now t;
         main_loop st
+      end
+    end
   end
 
 (* --- result assembly ------------------------------------------------ *)
 
 let summarise st =
   let cfg = st.cfg in
-  let jobs = st.resolved in
-  let max_id =
-    List.fold_left (fun acc t -> max acc t.Task.id) (-1) cfg.tasks
-  in
-  let n_tasks = max_id + 1 in
-  let released = Array.make n_tasks 0 in
+  let n_tasks = Array.length st.released in
   let completed = Array.make n_tasks 0 in
   let met = Array.make n_tasks 0 in
-  let aborted = Array.make n_tasks 0 in
   let accrued = Array.make n_tasks 0.0 in
   let max_possible = Array.make n_tasks 0.0 in
-  let total_retries = Array.make n_tasks 0 in
-  let max_retries = Array.make n_tasks 0 in
   let sojourns = Array.init n_tasks (fun _ -> Stats.create ()) in
   let all_sojourns = Float_buffer.create () in
-  let preempt_total = ref 0 in
+  (* The float sums run over completed jobs newest first. The order is
+     part of the results (a different one can change the last bit), and
+     the reference digests pin it. *)
+  List.iter
+    (fun task ->
+      let i = task.Task.id in
+      (* The supremum of the TUF, not U(0): increasing piecewise shapes
+         (Fig. 1(c)) peak after arrival, and AUR must stay within
+         [0, 1]. Added once per released job: a product could differ
+         from the sum in the last bit. *)
+      let u = Rtlf_model.Tuf.max_utility task.Task.tuf in
+      for _ = 1 to st.released.(i) do
+        max_possible.(i) <- max_possible.(i) +. u
+      done)
+    cfg.tasks;
   List.iter
     (fun (job : Job.t) ->
       let i = job.Job.task.Task.id in
-      released.(i) <- released.(i) + 1;
-      preempt_total := !preempt_total + job.Job.preemptions;
-      max_possible.(i) <-
-        max_possible.(i)
-        (* The supremum of the TUF, not U(0): increasing piecewise
-           shapes (Fig. 1(c)) peak after arrival, and AUR must stay
-           within [0, 1]. *)
-        +. Rtlf_model.Tuf.max_utility job.Job.task.Task.tuf;
-      total_retries.(i) <- total_retries.(i) + job.Job.retries;
-      if job.Job.retries > max_retries.(i) then
-        max_retries.(i) <- job.Job.retries;
-      match job.Job.state with
-      | Job.Completed ->
-        completed.(i) <- completed.(i) + 1;
-        accrued.(i) <- accrued.(i) +. job.Job.accrued;
-        (match Job.sojourn job with
-        | Some s ->
-          Stats.add sojourns.(i) (float_of_int s);
-          Float_buffer.push_int all_sojourns s;
-          if s < Task.critical_time job.Job.task then
-            met.(i) <- met.(i) + 1
-        | None -> ())
-      | Job.Aborted -> aborted.(i) <- aborted.(i) + 1
-      | Job.Ready | Job.Running | Job.Blocked _ -> assert false)
-    jobs;
+      completed.(i) <- completed.(i) + 1;
+      accrued.(i) <- accrued.(i) +. job.Job.accrued;
+      match Job.sojourn job with
+      | Some s ->
+        Stats.add sojourns.(i) (float_of_int s);
+        Float_buffer.push_int all_sojourns s;
+        if s < Task.critical_time job.Job.task then met.(i) <- met.(i) + 1
+      | None -> ())
+    st.completed_jobs;
   let per_task =
     Array.init n_tasks (fun i ->
         {
           task_id = i;
-          released = released.(i);
+          released = st.released.(i);
           completed = completed.(i);
           met = met.(i);
-          aborted = aborted.(i);
+          aborted = st.aborted.(i);
           accrued = accrued.(i);
           max_possible = max_possible.(i);
-          total_retries = total_retries.(i);
-          max_retries = max_retries.(i);
+          total_retries = st.total_retries.(i);
+          max_retries = st.max_retries.(i);
           retry_tails = Stats.P2.tails st.retry_tails.(i);
           sojourn = Stats.summary sojourns.(i);
         })
@@ -1093,7 +1213,7 @@ let summarise st =
          float_of_int met_all /. float_of_int released_all
        else 0.0);
     retries_total = sum (fun tr -> tr.total_retries);
-    preemptions = !preempt_total;
+    preemptions = st.preemptions;
     blocked_events = st.blocked_events;
     migrations = Cores.migrations st.cores;
     sched_invocations = st.sched_invocations;
@@ -1122,7 +1242,8 @@ let summarise st =
 
 let run cfg =
   validate cfg;
-  let remaining = remaining_cost cfg.sync cfg.tasks in
+  let segments = task_segments cfg.tasks in
+  let remaining = remaining_of_segments cfg.sync cfg.tasks segments in
   let objects = Resource.create ~n:cfg.n_objects in
   let locks = Lock_manager.create ~objects in
   (* Theorem 2 is proved for RUA scheduling of lock-free sharing; the
@@ -1134,9 +1255,7 @@ let run cfg =
     | Sync.Lock_free _, Rua -> true
     | _ -> false
   in
-  let n_tasks =
-    1 + List.fold_left (fun acc t -> max acc t.Task.id) (-1) cfg.tasks
-  in
+  let n_tasks = n_tasks cfg.tasks in
   let n_schedulers =
     match cfg.dispatch with
     | Cores.Global -> 1
@@ -1162,6 +1281,9 @@ let run cfg =
   let st =
     {
       cfg;
+      arrivals =
+        Arrivals.create cfg.tasks (Prng.create ~seed:cfg.seed)
+          ~horizon:cfg.horizon;
       queue = equeue_create cfg.queue;
       objects;
       locks;
@@ -1170,13 +1292,20 @@ let run cfg =
            Array.init n_schedulers (fun _ -> make_scheduler cfg locks)
          else Array.map Rtlf_core.Static_mode.scheduler statics);
       statics;
+      segments;
+      segs_left = Array.map List.length segments;
       remaining;
       trace = Trace.create ?capacity:cfg.trace_capacity ~enabled:cfg.trace ();
       now = 0;
       cores = Cores.create ~m:cfg.cores ~policy:cfg.dispatch;
       next_jid = 0;
       live = Live_view.create ();
-      resolved = [];
+      released = Array.make n_tasks 0;
+      aborted = Array.make n_tasks 0;
+      total_retries = Array.make n_tasks 0;
+      max_retries = Array.make n_tasks 0;
+      preemptions = 0;
+      completed_jobs = [];
       sched_invocations = 0;
       sched_overhead = 0;
       busy = 0;
@@ -1191,16 +1320,5 @@ let run cfg =
       retry_tails = Array.init n_tasks (fun _ -> Stats.P2.tracker ());
     }
   in
-  let root = Prng.create ~seed:cfg.seed in
-  List.iter
-    (fun task ->
-      let g = Prng.split root in
-      let arrivals =
-        Uam.generate task.Task.arrival g ~start:0 ~horizon:cfg.horizon
-      in
-      List.iter
-        (fun t -> equeue_add st.queue ~time:t (Arrival task))
-        arrivals)
-    cfg.tasks;
   main_loop st;
   summarise st

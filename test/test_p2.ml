@@ -178,6 +178,50 @@ let test_constant_stream () =
         42.0 (Stats.P2.quantile est))
     quantiles
 
+(* A fixed stream, mostly zeros with a spread tail. The expected tails
+   are the estimator's exact output on it, so any change to the marker
+   arithmetic or to its order shows, not just gross errors. *)
+let pinned_stream () =
+  let g = ref 12345 in
+  List.init 20_000 (fun _ ->
+      g := ((!g * 1103515245) + 12345) land 0xffffff;
+      float_of_int (if !g mod 4 = 0 then !g mod 23 else 0))
+
+let test_pinned_bits () =
+  let tr = Stats.P2.tracker () in
+  List.iter (Stats.P2.track tr) (pinned_stream ());
+  let t = Stats.P2.tails tr in
+  List.iter
+    (fun (what, want, got) ->
+      Alcotest.(check string) what want (Printf.sprintf "%h" got))
+    [
+      ("p50", "0x1.077bf50751f6ep-30", t.Stats.P2.p50);
+      ("p90", "0x1.a7cfa0c4cf84fp+3", t.Stats.P2.p90);
+      ("p99", "0x1.560d100c79a4ap+4", t.Stats.P2.p99);
+      ("p999", "0x1.5fffffffffffep+4", t.Stats.P2.p999);
+    ]
+
+(* Past the fifth sample [add] allocates nothing in native code: the
+   engine calls it four times per resolved job. The samples are boxed
+   before measuring, so only [add]'s own allocation counts. *)
+let test_add_allocation_free () =
+  if Sys.backend_type = Sys.Native then begin
+    let xs = pinned_stream () in
+    let est = Stats.P2.create ~p:0.99 in
+    List.iteri (fun i x -> if i < 5 then Stats.P2.add est x) xs;
+    let rec feed = function
+      | [] -> ()
+      | x :: rest ->
+        Stats.P2.add est x;
+        feed rest
+    in
+    let w0 = Gc.minor_words () in
+    feed xs;
+    let words = Gc.minor_words () -. w0 in
+    if words > 64.0 then
+      Alcotest.failf "%.0f minor words over %d adds" words (List.length xs)
+  end
+
 let () =
   Test_support.run "p2"
     [
@@ -196,5 +240,9 @@ let () =
           Alcotest.test_case "empty tails" `Quick test_empty_tails;
           Alcotest.test_case "constant stream exact" `Quick
             test_constant_stream;
+          Alcotest.test_case "pinned stream bit-exact" `Quick
+            test_pinned_bits;
+          Alcotest.test_case "add allocation-free" `Quick
+            test_add_allocation_free;
         ] );
     ]

@@ -251,6 +251,105 @@ let nested_scene () =
         (compare_engines ~label:(Printf.sprintf "nested/%s" sync_name) cfg))
     syncs
 
+(* A nanosecond-scale scene built for event ties, which the engine
+   orders by rule (arrivals stream from per-task UAM steppers and are
+   merged with the expiry queue, an arrival first at equal times, then
+   by task rank): windows of 6-12 ns make arrivals of different tasks
+   coincide, a = 3 lets a task burst several jobs at one instant, and
+   C = W puts arrivals on the expiry instants of earlier jobs. The
+   scene asserts that each kind of tie occurs, then pins the whole run,
+   trace included, to [Single_ref] under both event-queue kinds. *)
+let tie_tasks () =
+  [
+    Task.make ~id:0 ~tuf:(Tuf.step ~height:3.0 ~c:12)
+      ~arrival:(Uam.make ~l:1 ~a:3 ~w:12) ~exec:5 ~accesses:[ (0, 2) ] ();
+    Task.make ~id:1 ~tuf:(Tuf.linear ~u0:2.0 ~c:10)
+      ~arrival:(Uam.make ~l:1 ~a:3 ~w:12) ~exec:4 ~accesses:[ (0, 1) ]
+      ~reads:[ (1, 1) ] ();
+    Task.make ~id:2 ~tuf:(Tuf.step ~height:1.0 ~c:6)
+      ~arrival:(Uam.periodic ~period:6) ~exec:3 ~reads:[ (0, 1) ] ();
+    Task.make ~id:3 ~tuf:(Tuf.step ~height:5.0 ~c:8)
+      ~arrival:(Uam.make ~l:2 ~a:2 ~w:8) ~exec:2 ~abort_cost:1 ();
+  ]
+
+let tie_config ~queue ~sync ~sched seed =
+  Simulator.config ~tasks:(tie_tasks ()) ~sync ~sched ~n_objects:2
+    ~horizon:3_000 ~seed ~sched_base:1 ~sched_per_op:0 ~trace:true ~queue
+    ~cores:1 ()
+
+(* Counts of the three tie kinds among a run's arrivals. *)
+let tie_counts tasks (r : Simulator.result) =
+  let crit = Hashtbl.create 4 in
+  List.iter
+    (fun t -> Hashtbl.replace crit t.Task.id (Task.critical_time t))
+    tasks;
+  let entries = Trace.entries r.Simulator.trace in
+  let arrivals =
+    List.filter_map
+      (fun e ->
+        match e.Trace.kind with
+        | Trace.Arrive (jid, task, at) -> Some (jid, task, at)
+        | _ -> None)
+      entries
+  in
+  let expiries = Hashtbl.create 64 in
+  let arrival_of = Hashtbl.create 64 in
+  List.iter (fun (jid, task, at) -> Hashtbl.replace arrival_of jid (task, at))
+    arrivals;
+  List.iter
+    (fun e ->
+      match e.Trace.kind with
+      | Trace.Abort (jid, _) ->
+        let task, at = Hashtbl.find arrival_of jid in
+        Hashtbl.replace expiries (at + Hashtbl.find crit task) ()
+      | _ -> ())
+    entries;
+  let rec pairs cross same = function
+    | (_, t1, a1) :: ((_, t2, a2) :: _ as rest) when a1 = a2 ->
+      if t1 = t2 then pairs cross (same + 1) rest
+      else pairs (cross + 1) same rest
+    | _ :: rest -> pairs cross same rest
+    | [] -> (cross, same)
+  in
+  let cross, same = pairs 0 0 arrivals in
+  let at_expiry =
+    List.length
+      (List.filter (fun (_, _, at) -> Hashtbl.mem expiries at) arrivals)
+  in
+  (cross, same, at_expiry)
+
+let tie_scene () =
+  let ties = ref (0, 0, 0) in
+  List.iter
+    (fun (sync_name, sync) ->
+      List.iter
+        (fun (sched_name, sched) ->
+          List.iter
+            (fun (queue_name, queue) ->
+              for seed = 1 to 3 do
+                let cfg = tie_config ~queue ~sync ~sched seed in
+                let label =
+                  Printf.sprintf "ties/%s/%s/%s seed %d" sync_name
+                    sched_name queue_name seed
+                in
+                ignore (compare_engines ~label cfg);
+                let c, s, e =
+                  tie_counts cfg.Simulator.tasks (Simulator.run cfg)
+                in
+                let c0, s0, e0 = !ties in
+                ties := (c0 + c, s0 + s, e0 + e)
+              done)
+            [ ("heap", Simulator.Binary_heap); ("wheel", Simulator.Wheel) ])
+        [ ("rua", Simulator.Rua); ("edf", Simulator.Edf) ])
+    [
+      ("lock-free", Sync.Lock_free { overhead = 1 });
+      ("lock-based", Sync.Lock_based { overhead = 2 });
+    ];
+  let cross, same, at_expiry = !ties in
+  Alcotest.(check bool) "cross-task coinciding arrivals" true (cross > 0);
+  Alcotest.(check bool) "same-task bursts" true (same > 0);
+  Alcotest.(check bool) "arrivals at expiry instants" true (at_expiry > 0)
+
 let rejects_multicore () =
   let cfg =
     Simulator.config ~tasks:(nested_tasks ()) ~sync:Sync.Ideal ~n_objects:2
@@ -273,6 +372,8 @@ let () =
       ( "deterministic",
         [
           Alcotest.test_case "nested + deadlock scene" `Quick nested_scene;
+          Alcotest.test_case "tie-heavy arrivals and expiries" `Quick
+            tie_scene;
           Alcotest.test_case "cores guard" `Quick rejects_multicore;
         ] );
     ]

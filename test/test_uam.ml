@@ -154,6 +154,121 @@ let prop_generated_valid =
       let trace = gen law ~seed ~horizon:(w * 50) in
       Uam.validate law trace = Ok ())
 
+(* --- stepper ------------------------------------------------------------ *)
+
+(* The list-building generator that preceded [Uam.stepper], kept as the
+   oracle: the simulator's arrival stream must draw exactly this. *)
+let oracle_generate (law : Uam.t) g ~start ~horizon =
+  if horizon <= start then []
+  else begin
+    let a = law.Uam.a and l = law.Uam.l and w = law.Uam.w in
+    let hist = Array.make a start in
+    let count = ref 0 in
+    let nth_back k = hist.((!count - k) mod a) in
+    let acc = ref [] in
+    let last = ref start in
+    let continue = ref true in
+    while !continue do
+      let lo = max !last (if !count >= a then nth_back a + w else start) in
+      let hi_min =
+        if l >= 1 && !count >= l then nth_back l + w
+        else if !count = 0 then start + w - 1
+        else max_int
+      in
+      if lo >= horizon then continue := false
+      else begin
+        let hi = min hi_min (horizon - 1) in
+        if hi < lo then continue := false
+        else begin
+          let time = Prng.int_in g ~lo ~hi in
+          acc := time :: !acc;
+          hist.(!count mod a) <- time;
+          last := time;
+          incr count
+        end
+      end
+    done;
+    List.rev !acc
+  end
+
+let unfold s =
+  let rec go acc =
+    match Uam.next s with None -> List.rev acc | Some t -> go (t :: acc)
+  in
+  go []
+
+(* Laws with l = 0 and bursts a > 1, windows down to 1 ns (so arrivals
+   coincide), and horizons on either side of the start. *)
+let stepper_case_gen =
+  QCheck.Gen.(
+    let* a = int_range 1 5 in
+    let* l = int_range 0 a in
+    let* w = oneof [ int_range 1 4; int_range 5 2_000 ] in
+    let* start = int_range (-50) 500 in
+    let* span = oneof [ int_range (-100) 0; int_range 1 (w * 40) ] in
+    let* seed = int_range 0 100_000 in
+    return (Uam.make ~l ~a ~w, start, start + span, seed))
+
+let stepper_case_arb =
+  QCheck.make stepper_case_gen ~print:(fun (law, start, horizon, seed) ->
+      Format.asprintf "%a start=%d horizon=%d seed=%d" Uam.pp law start
+        horizon seed)
+
+let prop_stepper_unfold =
+  QCheck.Test.make ~name:"generate = stepper unfold = oracle" ~count:500
+    stepper_case_arb (fun (law, start, horizon, seed) ->
+      let want =
+        oracle_generate law (Prng.create ~seed) ~start ~horizon
+      in
+      let s = Uam.stepper law (Prng.create ~seed) ~start ~horizon in
+      let stepped = unfold s in
+      want = Uam.generate law (Prng.create ~seed) ~start ~horizon
+      && want = stepped
+      && Uam.next s = None
+      && (horizon > start || want = []))
+
+(* Steppers own their state: advancing several in an interleaved order
+   yields each one's own unfold, which is what lets the simulator keep
+   one pending arrival per task. *)
+let test_steppers_independent () =
+  let laws =
+    [ Uam.make ~l:0 ~a:3 ~w:7; Uam.periodic ~period:5; Uam.bursty ~a:4 ~w:3 ]
+  in
+  let root = Prng.create ~seed:11 in
+  let gens = List.map (fun _ -> Prng.split root) laws in
+  let want =
+    List.map2
+      (fun law g -> Uam.generate law (Prng.copy g) ~start:0 ~horizon:200)
+      laws gens
+  in
+  let steppers =
+    Array.of_list
+      (List.map2
+         (fun law g -> Uam.stepper law g ~start:0 ~horizon:200)
+         laws gens)
+  in
+  let got = Array.make (Array.length steppers) [] in
+  let live = ref true in
+  while !live do
+    live := false;
+    (* A skewed round robin: stepper i advances i + 1 times per turn. *)
+    Array.iteri
+      (fun i s ->
+        for _ = 0 to i do
+          match Uam.next s with
+          | Some t ->
+            got.(i) <- t :: got.(i);
+            live := true
+          | None -> ()
+        done)
+      steppers
+  done;
+  List.iteri
+    (fun i w ->
+      Alcotest.(check (list int)) (Printf.sprintf "stepper %d" i) w
+        (List.rev got.(i)))
+    want
+
 let () =
   Test_support.run "uam"
     [
@@ -175,6 +290,12 @@ let () =
             test_generator_allows_simultaneous;
           Alcotest.test_case "worst burst trace" `Quick test_worst_burst;
           Test_support.to_alcotest prop_generated_valid;
+        ] );
+      ( "stepper",
+        [
+          Test_support.to_alcotest prop_stepper_unfold;
+          Alcotest.test_case "interleaved steppers independent" `Quick
+            test_steppers_independent;
         ] );
       ( "validator",
         [
