@@ -53,20 +53,22 @@ let bench_lock_stack () =
 (* --- scheduler decision kernels (§3.6, Figure 9) ---------------------- *)
 
 (* A frozen scheduling scene: n live jobs; the lock-based variant also
-   sees a 5-deep dependency chain through the lock table. *)
-let scene ~n ~with_locks =
+   sees a 5-deep dependency chain through the lock table, and its
+   no-waiter variant the same five locks held with nobody waiting (the
+   case rua-lock-based serves from the flat kernel). *)
+let scene ~n ~locking =
   let tasks = Workload.make { Workload.default with Workload.n_tasks = n } in
   let jobs =
     List.mapi (fun i t -> Job.create ~task:t ~jid:i ~arrival:0) tasks
   in
   let objects = Resource.create ~n:10 in
   let locks = Lock_manager.create ~objects in
-  if with_locks then
+  if locking <> `None then
     List.iteri
       (fun i job ->
         if i < 5 then
           ignore (Lock_manager.request locks ~jid:job.Job.jid ~obj:i);
-        if i >= 1 && i <= 5 then begin
+        if locking = `Chain && i >= 1 && i <= 5 then begin
           match Lock_manager.request locks ~jid:job.Job.jid ~obj:(i - 1) with
           | Lock_manager.Granted -> ()
           | Lock_manager.Blocked_on _ -> job.Job.state <- Job.Blocked (i - 1)
@@ -77,12 +79,18 @@ let scene ~n ~with_locks =
 let remaining job = Job.remaining_nominal job
 
 let bench_decide ~sched ~n =
-  let with_locks = sched = `Lock_based in
-  let jobs, locks = scene ~n ~with_locks in
+  let locking =
+    match sched with
+    | `Lock_based -> `Chain
+    | `Lock_based_no_waiter -> `Held
+    | `Lock_free | `Edf | `Edf_pip -> `None
+  in
+  let jobs, locks = scene ~n ~locking in
   let jobs = Array.of_list jobs in
   let scheduler =
     match sched with
-    | `Lock_based -> Rtlf_core.Rua_lock_based.make ~locks
+    | `Lock_based | `Lock_based_no_waiter ->
+      Rtlf_core.Rua_lock_based.make ~locks
     | `Lock_free -> Rtlf_core.Rua_lock_free.make ()
     | `Edf -> Rtlf_core.Edf.make ()
     | `Edf_pip -> Rtlf_core.Edf_pip.make ~locks
@@ -219,7 +227,17 @@ let scheduler_tests ~keep () =
           fun () -> bench_decide ~sched:`Edf_pip ~n );
       ]
   in
+  (* The no-waiter lock-based kernel tracks the flat serve path next to
+     the chain path above. *)
+  let no_waiter n =
+    pick ~keep
+      [
+        ( Printf.sprintf "rua-lock-based decide n=%d no-waiter" n,
+          fun () -> bench_decide ~sched:`Lock_based_no_waiter ~n );
+      ]
+  in
   List.concat_map variants [ 8; 32; 64 ]
+  @ List.concat_map no_waiter [ 32; 64 ]
 
 (* --- scale kernels (10^3..10^5 live jobs / pending events) ------------- *)
 
@@ -318,7 +336,7 @@ let scale_kernels ~keep ~max_n () =
            between iterations, which would defeat the cached kernel's
            cache if they shared an array. *)
         let fresh_jobs () =
-          let jobs, _locks = scene ~n ~with_locks:false in
+          let jobs, _locks = scene ~n ~locking:`None in
           Array.of_list jobs
         in
         let entry name batch mk =
@@ -421,7 +439,7 @@ let smp_kernels ~keep () =
         if keep name then [ (name, batch, mk ()) ] else []
       in
       let global () =
-        let jobs, _locks = scene ~n ~with_locks:false in
+        let jobs, _locks = scene ~n ~locking:`None in
         let jobs = Array.of_list jobs in
         let sched = Rtlf_core.Rua_lock_free.make () in
         fun () -> ignore (sched.Scheduler.decide ~now:0 ~jobs ~remaining)
@@ -429,7 +447,7 @@ let smp_kernels ~keep () =
       let partitioned () =
         let per_core =
           Array.init m (fun _ ->
-              let jobs, _locks = scene ~n:(max 1 (n / m)) ~with_locks:false in
+              let jobs, _locks = scene ~n:(max 1 (n / m)) ~locking:`None in
               (Array.of_list jobs, Rtlf_core.Rua_lock_free.make ()))
         in
         fun () ->

@@ -1,17 +1,25 @@
 module Job = Rtlf_model.Job
 
+(* A loop over local refs rather than a fold over a (time, utility)
+   pair, so that the accumulators stay unboxed; the utilities are still
+   added head to tail, from 0.0. *)
 let of_chain ~now ~remaining chain =
   if chain = [] then invalid_arg "Pud.of_chain: empty chain";
-  let finish, total_utility =
-    List.fold_left
-      (fun (t, u) job ->
-        let t = t + remaining job in
-        (t, u +. Job.utility_at job ~now:t))
-      (now, 0.0) chain
-  in
-  let span = finish - now in
+  let finish = ref now and total_utility = ref 0.0 and rest = ref chain in
+  while
+    match !rest with
+    | [] -> false
+    | job :: tl ->
+      finish := !finish + remaining job;
+      total_utility := !total_utility +. Job.utility_at job ~now:!finish;
+      rest := tl;
+      true
+  do
+    ()
+  done;
+  let span = !finish - now in
   if span <= 0 then infinity
-  else total_utility /. float_of_int span
+  else !total_utility /. float_of_int span
 
 (* Equivalent to [of_chain ~now ~remaining [job]] but allocation-free:
    the schedulers call this once per live job per invocation. *)

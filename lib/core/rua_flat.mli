@@ -1,0 +1,69 @@
+(** The flat RUA greedy kernel, for scenes where every job's dependency
+    chain is the job itself.
+
+    Under lock-free sharing that holds at every invocation (§5); under
+    lock-based sharing it holds whenever no job waits on a lock. The
+    greedy then scores each job in O(1), sorts int permutations of job
+    indices over unboxed key arrays, and admits candidates in
+    O(log n) each against a {!Slack_tree}. {!Rua_lock_free} and
+    {!Rua_lock_based} both call this one kernel; only the abstract
+    [ops] charges differ, as selected by {!charges}. *)
+
+type charges
+(** The per-job and per-probe [ops] charges of one decider. *)
+
+val lock_free : charges
+(** 1 op per live job (its PUD), and [2·⌈log₂(k+1)⌉ + (k+1)] per
+    probed candidate with [k] entries already admitted. *)
+
+val lock_based : charges
+(** 3 ops per live job (chain, cycle check, chain PUD), and
+    [3·⌈log₂(k+1)⌉ + (k+1)] per probed candidate (two [mem] checks and
+    one ECF insertion, plus the feasibility walk). *)
+
+type t
+(** Reusable scratch storage for one decider instance. *)
+
+val create : unit -> t
+(** [create ()] is an empty kernel. *)
+
+val reserve : t -> n:int -> unit
+(** [reserve t ~n] grows the {!rem}, {!pud} and {!candidates} arrays to
+    hold at least [n] entries. *)
+
+val rem : t -> int array
+(** Remaining cost by job index, as the scoring pass recorded it. *)
+
+val pud : t -> float array
+(** PUD by job index, as the scoring pass recorded it. *)
+
+val candidates : t -> int array
+(** The live job indices, first [n] entries; {!rebuild} sorts them in
+    place into admission order. *)
+
+val score :
+  t ->
+  now:int ->
+  jobs:Rtlf_model.Job.t array ->
+  remaining:(Rtlf_model.Job.t -> int) ->
+  int
+(** [score t ~now ~jobs ~remaining] records every live job's remaining
+    cost and PUD and lists the live job indices as candidates. Returns
+    the live count. Callers that validate a cache write the same arrays
+    themselves instead. *)
+
+val rebuild :
+  t ->
+  charges ->
+  now:int ->
+  jobs:Rtlf_model.Job.t array ->
+  n:int ->
+  Scheduler.decision
+(** [rebuild t charges ~now ~jobs ~n] runs the greedy over the first [n]
+    candidates, reading their recorded remaining costs and PUDs. The
+    decision has no aborts; [ops] follows [charges]. *)
+
+val min_slack : t -> int
+(** The minimum slack over the last {!rebuild}'s admitted entries
+    ({!Slack_tree.min_all}): its decision stays exact for any
+    [now' >= now] up to this instant, as long as no input changes. *)

@@ -1,20 +1,31 @@
 module Job = Rtlf_model.Job
 module Lock_manager = Rtlf_model.Lock_manager
 
-(* Arena-backed hot path for the lock-based algorithm: scratch cells
-   carry each live job's dependency chain, the sort runs in place, and
-   the greedy loop probes aggregates with journalled rollback instead
-   of deep-copying the tentative schedule per candidate. Differentially
-   tested bit-identical to [Reference.rua_lock_based].
+(* Two serve paths, chosen per invocation by one O(1) lock-table query.
 
-   The deadlock-victim table is still allocated fresh per invocation:
+   No job waits: every dependency chain is the job itself, no cycle
+   exists and there are no victims, so the algorithm reduces to the
+   lock-free greedy over the same live set — same PUDs, same orders,
+   same feasibility test. That case runs on the shared flat kernel
+   ({!Rua_flat}), charged with the lock-based model. It never consults
+   a cross-invocation cache.
+
+   Some job waits: the arena-backed chain path. Scratch cells carry
+   each live job's dependency chain, the sort runs in place, and the
+   greedy loop probes aggregates with journalled rollback instead of
+   deep-copying the tentative schedule per candidate.
+
+   Both paths are differentially tested bit-identical to
+   [Reference.rua_lock_based], [ops] included.
+
+   The deadlock-victim table is created when the first cycle is found:
    it is folded to produce [aborts], and fold order over a Hashtbl
    depends on its allocation history, which must match the reference's
-   fresh table exactly. Deadlocks are rare, the table is almost always
-   empty, and its size is bounded by the cycle count — not a hot-path
-   cost. *)
+   fresh table exactly. Deadlocks are rare, so most chain-path decides
+   create no table at all. *)
 
 type scratch = {
+  flat : Rua_flat.t;
   arena : Arena.t;
   sched : Tentative_schedule.t;
   by_jid : (int, Job.t) Hashtbl.t; (* reused: lookups only, never folded *)
@@ -31,7 +42,7 @@ let by_pud (a : Arena.cell) (b : Arena.cell) =
   | 0 -> Int.compare a.Arena.jid b.Arena.jid
   | c -> c
 
-let decide scratch ~locks ~now ~jobs ~remaining =
+let decide_chains scratch ~locks ~now ~jobs ~remaining =
   let ops = ref 0 in
   let by_jid = scratch.by_jid in
   Hashtbl.clear by_jid;
@@ -58,7 +69,7 @@ let decide scratch ~locks ~now ~jobs ~remaining =
   done;
   (* Step 2: deadlock detection; resolve each cycle by aborting its
      least-PUD member. *)
-  let victims = Hashtbl.create 4 in
+  let victims = ref None in
   for i = 0 to n - 1 do
     ops := !ops + 1;
     match Lock_manager.find_cycle locks ~jid:cells.(i).Arena.jid with
@@ -77,17 +88,33 @@ let decide scratch ~locks ~now ~jobs ~remaining =
           None cycle
       in
       (match weakest with
-      | Some (_, job) -> Hashtbl.replace victims job.Job.jid job
+      | Some (_, job) ->
+        let tbl =
+          match !victims with
+          | Some tbl -> tbl
+          | None ->
+            let tbl = Hashtbl.create 4 in
+            victims := Some tbl;
+            tbl
+        in
+        Hashtbl.replace tbl job.Job.jid job
       | None -> ())
   done;
-  let is_victim j = Hashtbl.mem victims j.Job.jid in
+  let victims = !victims in
+  let is_victim j =
+    match victims with None -> false | Some tbl -> Hashtbl.mem tbl j.Job.jid
+  in
   (* Step 3: PUD of each surviving job over its chain; compact the
      victims out of the scored prefix in place. *)
   let m = ref 0 in
   for i = 0 to n - 1 do
     let c = cells.(i) in
     if not (is_victim c.Arena.job) then begin
-      let chain = List.filter (fun j -> not (is_victim j)) c.Arena.chain in
+      let chain =
+        match victims with
+        | None -> c.Arena.chain
+        | Some _ -> List.filter (fun j -> not (is_victim j)) c.Arena.chain
+      in
       ops := !ops + List.length chain;
       let d = cells.(!m) in
       d.Arena.key <- Pud.of_chain ~now ~remaining chain;
@@ -115,7 +142,11 @@ let decide scratch ~locks ~now ~jobs ~remaining =
   done;
   let schedule = Tentative_schedule.jobs sched in
   let dispatch = List.find_opt Job.is_runnable schedule in
-  let aborts = Hashtbl.fold (fun _ job acc -> job :: acc) victims [] in
+  let aborts =
+    match victims with
+    | None -> []
+    | Some tbl -> Hashtbl.fold (fun _ job acc -> job :: acc) tbl []
+  in
   Arena.scrub cells ~n;
   {
     Scheduler.dispatch;
@@ -125,9 +156,17 @@ let decide scratch ~locks ~now ~jobs ~remaining =
     ops = !ops;
   }
 
+let decide scratch ~locks ~now ~jobs ~remaining =
+  if Lock_manager.has_waiters locks then
+    decide_chains scratch ~locks ~now ~jobs ~remaining
+  else
+    let n = Rua_flat.score scratch.flat ~now ~jobs ~remaining in
+    Rua_flat.rebuild scratch.flat Rua_flat.lock_based ~now ~jobs ~n
+
 let make ~locks =
   let scratch =
     {
+      flat = Rua_flat.create ();
       arena = Arena.create ();
       sched =
         Tentative_schedule.create ~ops:(ref 0) ~now:0 ~remaining:(fun _ -> 0);

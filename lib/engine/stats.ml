@@ -56,21 +56,110 @@ let of_array xs =
 (* NaN samples poison order statistics: polymorphic [compare] gives an
    unspecified sort order in their presence, and any interpolation with
    a NaN endpoint is NaN. Percentiles and histograms are therefore
-   computed over the non-NaN subset only, and sorting uses
-   [Float.compare], which is total. *)
-let drop_nans xs =
-  if Array.exists Float.is_nan xs then
-    Array.of_list (List.filter (fun x -> not (Float.is_nan x)) (Array.to_list xs))
-  else xs
+   computed over the non-NaN subset only. *)
 
-let percentile xs ~p =
-  if Array.length xs = 0 then invalid_arg "Stats.percentile: empty array";
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let kept = drop_nans xs in
-  let n = Array.length kept in
-  if n = 0 then invalid_arg "Stats.percentile: no non-NaN samples";
-  let sorted = if kept == xs then Array.copy kept else kept in
-  Array.sort Float.compare sorted;
+(* [Array.sort Float.compare] specialised to a NaN-free float array: the
+   same ternary heap sort step for step, so equal keys (0.0 and -0.0)
+   land where the stdlib sort puts them, but with unboxed reads and
+   [<] for [Float.compare _ _ < 0] (equal on NaN-free input). *)
+let sort_floats (a : float array) =
+  (* The child of [i] with the largest key, first among equals; -1 when
+     [i] has no child below [l]. *)
+  let maxson l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if a.(i31) < a.(i31 + 1) then i31 + 1 else i31 in
+      if a.(x) < a.(i31 + 2) then i31 + 2 else x
+    end
+    else if i31 + 1 < l && a.(i31) < a.(i31 + 1) then i31 + 1
+    else if i31 < l then i31
+    else -1
+  in
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    (* trickle [a.(i)] down *)
+    let e = a.(i) in
+    let i = ref i and continue = ref true in
+    while !continue do
+      let j = maxson l !i in
+      if j >= 0 && a.(j) > e then begin
+        a.(!i) <- a.(j);
+        i := j
+      end
+      else begin
+        a.(!i) <- e;
+        continue := false
+      end
+    done
+  done;
+  for n = l - 1 downto 2 do
+    let e = a.(n) in
+    a.(n) <- a.(0);
+    (* bubble the hole at the root down to a leaf... *)
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let j = maxson n !i in
+      if j < 0 then continue := false
+      else begin
+        a.(!i) <- a.(j);
+        i := j
+      end
+    done;
+    (* ...then trickle [e] up from it *)
+    let continue = ref true in
+    while !continue do
+      let father = (!i - 1) / 3 in
+      if a.(father) < e then begin
+        a.(!i) <- a.(father);
+        if father > 0 then i := father
+        else begin
+          a.(0) <- e;
+          continue := false
+        end
+      end
+      else begin
+        a.(!i) <- e;
+        continue := false
+      end
+    done
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
+(* A fresh sorted array of the non-NaN samples of [xs], of which there
+   are [kept]. *)
+let sorted_non_nan xs ~kept =
+  let sorted =
+    if kept = Array.length xs then Array.copy xs
+    else begin
+      let out = Array.make kept 0.0 and k = ref 0 in
+      for i = 0 to Array.length xs - 1 do
+        let x = xs.(i) in
+        if not (Float.is_nan x) then begin
+          out.(!k) <- x;
+          incr k
+        end
+      done;
+      out
+    end
+  in
+  sort_floats sorted;
+  sorted
+
+let count_non_nan xs =
+  let k = ref 0 in
+  for i = 0 to Array.length xs - 1 do
+    if not (Float.is_nan xs.(i)) then incr k
+  done;
+  !k
+
+(* The [p]-th percentile of a sorted, non-empty, NaN-free array, by
+   linear interpolation between closest ranks. *)
+let quantile_sorted sorted ~p =
+  let n = Array.length sorted in
   let rank = p /. 100.0 *. float_of_int (n - 1) in
   let lo = int_of_float (floor rank) in
   let hi = int_of_float (ceil rank) in
@@ -78,6 +167,13 @@ let percentile xs ~p =
   else
     let frac = rank -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+
+let percentile xs ~p =
+  if Array.length xs = 0 then invalid_arg "Stats.percentile: empty array";
+  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
+  let kept = count_non_nan xs in
+  if kept = 0 then invalid_arg "Stats.percentile: no non-NaN samples";
+  quantile_sorted (sorted_non_nan xs ~kept) ~p
 
 let percentile_opt xs ~p =
   if Array.exists (fun x -> not (Float.is_nan x)) xs then
@@ -122,32 +218,41 @@ let empty_histogram =
 
 let histogram ?(bins = 10) xs =
   if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  let xs = drop_nans xs in
-  let n = Array.length xs in
+  (* Mean, min and max fold the non-NaN samples in input order, exactly
+     as {!add} would; the percentiles read one sorted copy. *)
+  let n = ref 0 and mean = ref 0.0 in
+  let lo = ref infinity and hi = ref neg_infinity in
+  for i = 0 to Array.length xs - 1 do
+    let x = xs.(i) in
+    if not (Float.is_nan x) then begin
+      incr n;
+      mean := !mean +. ((x -. !mean) /. float_of_int !n);
+      if x < !lo then lo := x;
+      if x > !hi then hi := x
+    end
+  done;
+  let n = !n and lo = !lo and hi = !hi in
   if n = 0 then empty_histogram
   else
-    let s = of_array xs in
-    let q p = percentile xs ~p in
-    let lo = s.min in
+    let sorted = sorted_non_nan xs ~kept:n in
     let width =
-      let span = s.max -. lo in
+      let span = hi -. lo in
       if span <= 0.0 then 1.0 else span /. float_of_int bins
     in
     let buckets = Array.make bins 0 in
-    Array.iter
-      (fun x ->
-        let i = int_of_float ((x -. lo) /. width) in
-        let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
-        buckets.(i) <- buckets.(i) + 1)
-      xs;
+    for k = 0 to n - 1 do
+      let i = int_of_float ((sorted.(k) -. lo) /. width) in
+      let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
+      buckets.(i) <- buckets.(i) + 1
+    done;
     {
       n;
-      mean = s.mean;
+      mean = !mean;
       min = lo;
-      max = s.max;
-      p50 = q 50.0;
-      p90 = q 90.0;
-      p99 = q 99.0;
+      max = hi;
+      p50 = quantile_sorted sorted ~p:50.0;
+      p90 = quantile_sorted sorted ~p:90.0;
+      p99 = quantile_sorted sorted ~p:99.0;
       bucket_lo = lo;
       bucket_width = width;
       buckets;

@@ -26,6 +26,8 @@ let holding tbl ~jid =
 
 let waiting_for tbl ~jid = Hashtbl.find_opt tbl.waits jid
 
+let has_waiters tbl = Hashtbl.length tbl.waits > 0
+
 let waiters tbl ~obj =
   Resource.check tbl.objects obj;
   match Hashtbl.find_opt tbl.queues obj with Some q -> q | None -> []

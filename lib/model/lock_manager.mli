@@ -27,6 +27,11 @@ val waiting_for : t -> jid:int -> int option
 (** [waiting_for tbl ~jid] is the object [jid] is blocked on, if
     any. *)
 
+val has_waiters : t -> bool
+(** [has_waiters tbl] is whether any job waits on any object. O(1).
+    When it is [false], every job's {!dependency_chain} is the job
+    itself and {!find_cycle} is [None] for every job. *)
+
 val waiters : t -> obj:int -> int list
 (** [waiters tbl ~obj] is the FIFO queue of jids blocked on [obj]. *)
 

@@ -204,6 +204,60 @@ let prop_random_ops_consistent =
       Lock_manager.assert_consistent tbl;
       true)
 
+(* --- the waiter predicate ------------------------------------------------ *)
+
+let test_has_waiters_steps () =
+  let tbl = mk () in
+  let check msg want =
+    Alcotest.(check bool) msg want (Lock_manager.has_waiters tbl)
+  in
+  check "empty table" false;
+  ignore (Lock_manager.request tbl ~jid:1 ~obj:0);
+  ignore (Lock_manager.request tbl ~jid:1 ~obj:1);
+  check "held but uncontended" false;
+  ignore (Lock_manager.request tbl ~jid:2 ~obj:0);
+  check "2 waits on 0" true;
+  ignore (Lock_manager.release tbl ~jid:1 ~obj:0);
+  check "release hands 0 to 2" false;
+  ignore (Lock_manager.request tbl ~jid:3 ~obj:1);
+  check "3 waits on 1" true;
+  Lock_manager.cancel_wait tbl ~jid:3;
+  check "3 cancelled" false;
+  ignore (Lock_manager.request tbl ~jid:3 ~obj:1);
+  ignore (Lock_manager.request tbl ~jid:4 ~obj:1);
+  check "3 and 4 wait on 1" true;
+  ignore (Lock_manager.release_all tbl ~jid:1);
+  check "1 aborted: 3 holds 1, 4 still waits" true;
+  ignore (Lock_manager.release_all tbl ~jid:4);
+  check "4 aborted while waiting" false;
+  ignore (Lock_manager.request tbl ~jid:5 ~obj:0);
+  check "5 waits on 0" true;
+  ignore (Lock_manager.release_all tbl ~jid:2);
+  check "2 aborted: 5 granted 0" false
+
+let prop_has_waiters_tracks_traffic =
+  (* Random request/release/cancel_wait/release_all traffic: after every
+     step the O(1) predicate agrees with the waiter listing. *)
+  QCheck.Test.make ~name:"has_waiters = (blocked_jobs <> [])" ~count:200
+    QCheck.(
+      list_of_size (Gen.int_range 0 200)
+        (triple (int_bound 3) (int_bound 7) (int_bound 4)))
+    (fun ops ->
+      let tbl = mk ~n:5 () in
+      List.for_all
+        (fun (kind, jid, obj) ->
+          (match kind with
+          | 0 ->
+            if Lock_manager.waiting_for tbl ~jid = None then
+              ignore (Lock_manager.request tbl ~jid ~obj)
+          | 1 ->
+            if List.mem obj (Lock_manager.holding tbl ~jid) then
+              ignore (Lock_manager.release tbl ~jid ~obj)
+          | 2 -> Lock_manager.cancel_wait tbl ~jid
+          | _ -> ignore (Lock_manager.release_all tbl ~jid));
+          Lock_manager.has_waiters tbl = (Lock_manager.blocked_jobs tbl <> []))
+        ops)
+
 let () =
   Test_support.run "lock_manager"
     [
@@ -238,4 +292,10 @@ let () =
         ] );
       ( "consistency",
         [ Test_support.to_alcotest prop_random_ops_consistent ] );
+      ( "waiters",
+        [
+          Alcotest.test_case "has_waiters through each operation" `Quick
+            test_has_waiters_steps;
+          Test_support.to_alcotest prop_has_waiters_tracks_traffic;
+        ] );
     ]
