@@ -1,15 +1,17 @@
-(* Fenwick tree (prefix sums of admitted rem) + bottom-up suffix-add /
-   suffix-min tree (per-position slack) over a fixed position range.
-   Storage is grow-only and reused across decisions.
+(* One bottom-up tree over a fixed position range, holding two things
+   per node: the admitted rem of its subtree (a plain sum) and the
+   minimum slack of its subtree under suffix adds. Storage is grow-only
+   and reused across decisions.
 
-   The min tree is a perfect binary tree over [size] leaves, stored
-   heap-style: node 1 is the root, leaves are [size .. 2*size-1].
-   Adds are never pushed down. [lzy.(p)] is an add pending for all of
-   [p]'s subtree, and [minv.(p)] is the subtree minimum relative to the
-   adds pending at [p]'s strict ancestors — so
-   [minv.(p) = min minv.(2p) minv.(2p+1) + lzy.(p)] at every internal
-   node, and a leaf's absolute value is its [minv] plus the [lzy] of
-   every ancestor. Queries are one leaf-to-root walk, [admit] two.
+   The tree is perfect over [size] leaves, stored heap-style: node 1 is
+   the root, leaves are [size .. 2*size-1]. Adds are never pushed down.
+   [lzy.(p)] is an add pending for all of [p]'s subtree, and [minv.(p)]
+   is the subtree minimum relative to the adds pending at [p]'s strict
+   ancestors — so [minv.(p) = min minv.(2p) minv.(2p+1) + lzy.(p)] at
+   every internal node, and a leaf's absolute value is its [minv] plus
+   the [lzy] of every ancestor. [sum.(p)] is absolute. A probe is one
+   leaf-to-root walk and answers all three questions an admission asks;
+   [admit] is one more.
 
    Every add covers a whole suffix, so the leaves past [n] receive the
    same adds as the last position. A vacant leaf's value is
@@ -22,15 +24,31 @@
    admitted rem is subtracted from it. *)
 let sentinel = max_int / 4
 
+type probe = {
+  mutable pos : int; (* -1 once admitted: [admit] needs a fresh probe *)
+  mutable before : int;
+  mutable after : int;
+  mutable above : int;
+}
+
 type t = {
   mutable n : int;
   mutable size : int; (* power of two >= n; tree nodes are 1 .. 2*size-1 *)
   mutable minv : int array; (* node -> min slack of its segment *)
   mutable lzy : int array; (* internal node -> add pending below it *)
-  mutable fen : int array; (* 1-based Fenwick over rem *)
+  mutable sum : int array; (* node -> admitted rem of its segment *)
+  last : probe;
 }
 
-let create () = { n = 0; size = 1; minv = [||]; lzy = [||]; fen = [||] }
+let create () =
+  {
+    n = 0;
+    size = 1;
+    minv = [||];
+    lzy = [||];
+    sum = [||];
+    last = { pos = -1; before = 0; after = sentinel; above = 0 };
+  }
 
 let reset t ~n =
   let size = ref 1 in
@@ -40,85 +58,84 @@ let reset t ~n =
   let size = !size in
   t.n <- n;
   t.size <- size;
+  t.last.pos <- -1;
   if Array.length t.minv < 2 * size then begin
     t.minv <- Array.make (2 * size) sentinel;
     t.lzy <- Array.make size 0;
-    t.fen <- Array.make (size + 1) 0
+    t.sum <- Array.make (2 * size) 0
   end
   else begin
     Array.fill t.minv 0 (2 * size) sentinel;
     Array.fill t.lzy 0 size 0;
-    Array.fill t.fen 0 (size + 1) 0
+    Array.fill t.sum 0 (2 * size) 0
   end
 
-(* --- Fenwick ---------------------------------------------------------- *)
+(* Climbing from the leaf, each level's sibling is either a left one
+   (the path goes up from a right child): admitted work before [pos]; or
+   a right one: positions after [pos], folded into the running minimum,
+   which then shifts into the parent's frame. The same shifts summed are
+   the adds pending above the leaf. The union of the right siblings is
+   [pos+1, size), which for [pos = n-1] is padding only: that answer is
+   the sentinel.
 
-let fen_add t i v =
-  let i = ref (i + 1) in
-  while !i <= t.size do
-    t.fen.(!i) <- t.fen.(!i) + v;
-    i := !i + (!i land - !i)
-  done
+   Which case a level is in follows the bits of [pos], so a branch on it
+   is a coin flip per level; the walks select with masks instead.
+   [left] is all ones at a left sibling, whose minimum [far] then lifts
+   above every real answer, and [imin] is branch-free for differences
+   that fit an int: all values here lie within [-sentinel, 3 * sentinel]. *)
+let far = 2 * sentinel
 
-(* Sum over positions <= pos. *)
-let prefix_rem t ~pos =
-  let acc = ref 0 in
-  let i = ref (pos + 1) in
-  while !i > 0 do
-    acc := !acc + t.fen.(!i);
-    i := !i - (!i land - !i)
+let[@inline] imin a b =
+  let d = b - a in
+  a + (d land (d asr (Sys.int_size - 1)))
+
+let probe t ~pos =
+  if pos < 0 || pos >= t.n then invalid_arg "Slack_tree.probe: position";
+  let minv = t.minv and lzy = t.lzy and sum = t.sum in
+  let p = ref (pos + t.size) in
+  let before = ref 0 and mn = ref sentinel and above = ref 0 in
+  while !p > 1 do
+    let q = !p in
+    let sib = q lxor 1 in
+    let left = -(q land 1) in
+    before := !before + (sum.(sib) land left);
+    mn := imin !mn (minv.(sib) + (far land left));
+    p := q lsr 1;
+    let a = lzy.(!p) in
+    mn := !mn + a;
+    above := !above + a
   done;
-  !acc
-
-(* --- min tree --------------------------------------------------------- *)
-
-(* Minimum over leaves [pos, size): climbing from the leaf, fold in the
-   right sibling whenever the path goes up from a left child, then
-   shift the running minimum into the parent's frame. *)
-let suffix_min t ~pos =
-  if pos >= t.n then sentinel
-  else begin
-    let minv = t.minv and lzy = t.lzy in
-    let p = ref (pos + t.size) in
-    let acc = ref minv.(!p) in
-    while !p > 1 do
-      let q = !p in
-      if q land 1 = 0 then begin
-        let s = minv.(q + 1) in
-        if s < !acc then acc := s
-      end;
-      p := q lsr 1;
-      acc := !acc + lzy.(!p)
-    done;
-    !acc
-  end
+  let r = t.last in
+  r.pos <- pos;
+  r.before <- !before;
+  r.after <- (if pos = t.n - 1 then sentinel else !mn);
+  r.above <- !above;
+  r
 
 let min_all t = if t.n = 0 then sentinel else t.minv.(1)
 
-(* One walk sets the leaf and adds [-rem] to every later leaf: the
-   later leaves are exactly the right siblings of the path's left
-   children. *)
-let admit t ~pos ~rem ~slack =
-  fen_add t pos rem;
-  let minv = t.minv and lzy = t.lzy and size = t.size in
-  let leaf = pos + size in
-  let above = ref 0 in
-  let p = ref (leaf lsr 1) in
-  while !p >= 1 do
-    above := !above + lzy.(!p);
-    p := !p lsr 1
-  done;
-  minv.(leaf) <- slack - !above;
+(* Sets the leaf (relative to the adds above it, which the probe
+   summed), adds [-rem] to every later leaf — exactly the right
+   siblings of the path's left children; a left sibling gets [-0] —
+   and [rem] to the sum of every node on the path, recomputing the
+   path's minima. *)
+let admit t ~rem ~slack =
+  let r = t.last in
+  if r.pos < 0 then invalid_arg "Slack_tree.admit: no fresh probe";
+  let minv = t.minv and lzy = t.lzy and sum = t.sum and size = t.size in
+  let leaf = r.pos + size in
+  r.pos <- -1;
+  minv.(leaf) <- slack - r.above;
+  sum.(leaf) <- rem;
   let p = ref leaf in
   while !p > 1 do
     let q = !p in
-    if q land 1 = 0 then begin
-      let s = q + 1 in
-      minv.(s) <- minv.(s) - rem;
-      if s < size then lzy.(s) <- lzy.(s) - rem
-    end;
+    let sib = q lxor 1 in
+    let add = rem land ((q land 1) - 1) in
+    minv.(sib) <- minv.(sib) - add;
+    if sib < size then lzy.(sib) <- lzy.(sib) - add;
     let up = q lsr 1 in
-    let l = minv.(2 * up) and r = minv.((2 * up) + 1) in
-    minv.(up) <- (if l < r then l else r) + lzy.(up);
+    sum.(up) <- sum.(up) + rem;
+    minv.(up) <- imin minv.(2 * up) minv.((2 * up) + 1) + lzy.(up);
     p := up
   done

@@ -3,11 +3,12 @@
    range, a single admitted entry, slack ties across every position,
    and storage reuse across [reset]. Plus the order-independence
    invariant the static-mode min-slack reconstruction leans on: under
-   the admission protocol ([slack = ect - prefix_rem - rem] at admit
-   time, suffix range-add afterwards) the final slack at an admitted
-   position [p] is [ect_p] minus the total admitted work at positions
-   [<= p], whatever order the positions were admitted in — checked
-   against a brute-force sorted-list oracle. *)
+   the admission protocol ([slack = ect - before - rem] at admit time,
+   suffix add afterwards) the final slack at an admitted position [p]
+   is [ect_p] minus the total admitted work at positions [<= p],
+   whatever order the positions were admitted in — checked against a
+   brute-force sorted-list oracle. Every query goes through [probe],
+   which must change nothing the index answers. *)
 
 module Slack_tree = Rtlf_core.Slack_tree
 
@@ -15,57 +16,77 @@ let sentinel = Slack_tree.sentinel
 
 (* "No admitted position in range" answers are only promised to be
    huge, not exactly [sentinel]: vacant leaves sit at the sentinel but
-   still absorb the suffix range-adds of earlier admissions. *)
+   still absorb the suffix adds of earlier admissions. *)
 let is_vacant v = v > sentinel / 2
+
+let before t pos = (Slack_tree.probe t ~pos).Slack_tree.before
+let after t pos = (Slack_tree.probe t ~pos).Slack_tree.after
+
+(* The admission protocol: probe, then admit with the slack the
+   probe's prefix gives. *)
+let admit_ect t ~pos ~rem ~ect =
+  let b = before t pos in
+  Slack_tree.admit t ~rem ~slack:(ect - b - rem)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
 
 let test_empty () =
   let t = Slack_tree.create () in
   Slack_tree.reset t ~n:0;
   Alcotest.(check int) "min_all" sentinel (Slack_tree.min_all t);
-  Alcotest.(check int) "suffix_min at 0" sentinel
-    (Slack_tree.suffix_min t ~pos:0);
-  Alcotest.(check int) "suffix_min past end" sentinel
-    (Slack_tree.suffix_min t ~pos:5);
-  Alcotest.(check int) "prefix_rem" 0 (Slack_tree.prefix_rem t ~pos:0)
+  Alcotest.(check bool) "probe 0 out of range" true
+    (raises_invalid (fun () -> Slack_tree.probe t ~pos:0));
+  Alcotest.(check bool) "admit without probe" true
+    (raises_invalid (fun () -> Slack_tree.admit t ~rem:1 ~slack:1))
 
 let test_single () =
   let t = Slack_tree.create () in
   Slack_tree.reset t ~n:1;
   Alcotest.(check int) "vacant min_all" sentinel (Slack_tree.min_all t);
-  Alcotest.(check int) "vacant prefix_rem" 0 (Slack_tree.prefix_rem t ~pos:0);
-  Slack_tree.admit t ~pos:0 ~rem:7 ~slack:42;
+  Alcotest.(check int) "vacant before" 0 (before t 0);
+  Alcotest.(check int) "nothing after" sentinel (after t 0);
+  Slack_tree.admit t ~rem:7 ~slack:42;
   Alcotest.(check int) "min_all" 42 (Slack_tree.min_all t);
-  Alcotest.(check int) "suffix_min at 0" 42 (Slack_tree.suffix_min t ~pos:0);
-  Alcotest.(check int) "suffix_min past end" sentinel
-    (Slack_tree.suffix_min t ~pos:1);
-  Alcotest.(check int) "prefix_rem" 7 (Slack_tree.prefix_rem t ~pos:0)
+  Alcotest.(check int) "before" 0 (before t 0);
+  Alcotest.(check int) "still nothing after" sentinel (after t 0);
+  Alcotest.(check bool) "probe past end" true
+    (raises_invalid (fun () -> Slack_tree.probe t ~pos:1));
+  Slack_tree.reset t ~n:2;
+  ignore (Slack_tree.probe t ~pos:1);
+  Slack_tree.admit t ~rem:5 ~slack:9;
+  Alcotest.(check bool) "second admit needs a fresh probe" true
+    (raises_invalid (fun () -> Slack_tree.admit t ~rem:1 ~slack:1));
+  Alcotest.(check int) "before the admitted entry" 0 (before t 0);
+  Alcotest.(check int) "after 0" 9 (after t 0)
 
 (* ect_p = base + (admitted work <= p) makes every final slack equal to
    [base]: ties at every position must not confuse the range-min, and
-   the suffix min must be flat wherever an admitted position remains in
-   range. Ends by re-resetting smaller, pinning that reused storage
-   comes back clean. *)
+   the minimum after a position must be flat wherever an admitted
+   position remains in range. Ends by re-resetting smaller, pinning
+   that reused storage comes back clean. *)
 let test_all_equal () =
   let n = 16 and base = 1000 in
   let rem = Array.init n (fun i -> 1 + (i mod 5)) in
   let t = Slack_tree.create () in
   Slack_tree.reset t ~n;
   for p = 0 to n - 1 do
-    let before = Slack_tree.prefix_rem t ~pos:p in
-    let ect = base + before + rem.(p) in
-    Slack_tree.admit t ~pos:p ~rem:rem.(p) ~slack:(ect - before - rem.(p))
+    admit_ect t ~pos:p ~rem:rem.(p) ~ect:(base + before t p + rem.(p))
   done;
   Alcotest.(check int) "min_all" base (Slack_tree.min_all t);
+  let work = ref 0 in
   for p = 0 to n - 1 do
+    Alcotest.(check int) (Printf.sprintf "before %d" p) !work (before t p);
+    work := !work + rem.(p);
     Alcotest.(check int)
-      (Printf.sprintf "suffix_min at %d" p)
-      base
-      (Slack_tree.suffix_min t ~pos:p)
+      (Printf.sprintf "after %d" p)
+      (if p = n - 1 then sentinel else base)
+      (after t p)
   done;
   Slack_tree.reset t ~n:4;
   Alcotest.(check int) "clean after reset" sentinel (Slack_tree.min_all t);
-  Alcotest.(check int) "prefix clean after reset" 0
-    (Slack_tree.prefix_rem t ~pos:3)
+  Alcotest.(check int) "before clean after reset" 0 (before t 3);
+  Alcotest.(check int) "after clean after reset" sentinel (after t 0)
 
 let shuffle rs arr =
   let a = Array.copy arr in
@@ -92,10 +113,7 @@ let test_order_independence () =
       let t = Slack_tree.create () in
       Slack_tree.reset t ~n;
       Array.iter
-        (fun p ->
-          let before = Slack_tree.prefix_rem t ~pos:p in
-          Slack_tree.admit t ~pos:p ~rem:rem.(p)
-            ~slack:(ect.(p) - before - rem.(p)))
+        (fun p -> admit_ect t ~pos:p ~rem:rem.(p) ~ect:ect.(p))
         order;
       t
     in
@@ -122,22 +140,21 @@ let test_order_independence () =
     let msg q = Printf.sprintf "rep=%d n=%d %s" rep n q in
     for pos = 0 to n - 1 do
       Alcotest.(check int)
-        (msg (Printf.sprintf "prefix_rem %d" pos))
-        (prefix pos)
-        (Slack_tree.prefix_rem t1 ~pos);
-      let s1 = Slack_tree.suffix_min t1 ~pos
-      and s2 = Slack_tree.suffix_min t2 ~pos in
+        (msg (Printf.sprintf "before %d" pos))
+        (prefix (pos - 1))
+        (before t1 pos);
+      let s1 = after t1 pos and s2 = after t2 pos in
       Alcotest.(check int)
-        (msg (Printf.sprintf "suffix_min %d order-independent" pos))
+        (msg (Printf.sprintf "after %d order-independent" pos))
         s1 s2;
-      match suffix pos with
+      match suffix (pos + 1) with
       | Some expect ->
         Alcotest.(check int)
-          (msg (Printf.sprintf "suffix_min %d vs oracle" pos))
+          (msg (Printf.sprintf "after %d vs oracle" pos))
           expect s1
       | None ->
         Alcotest.(check bool)
-          (msg (Printf.sprintf "suffix_min %d vacant" pos))
+          (msg (Printf.sprintf "after %d vacant" pos))
           true (is_vacant s1)
     done;
     let m1 = Slack_tree.min_all t1 in
@@ -149,14 +166,17 @@ let test_order_independence () =
       Alcotest.(check bool) (msg "min_all vacant") true (is_vacant m1)
   done
 
-(* Random admit / prefix_rem / suffix_min / min_all sequences against a
-   flat-array oracle holding every position's value exactly: a vacant
-   position starts at [sentinel], each admission subtracts its [rem]
-   from every later position and overwrites its own with [slack]. So
-   even "no admitted position in range" answers must match to the unit.
-   One tree instance runs every size in turn, then the sizes again in
-   reverse, so each [reset] to a smaller n follows a larger, fully
-   written one: stale storage and pending adds must not leak. *)
+(* Random probe / admit / min_all sequences against a flat-array oracle
+   holding every position's value exactly: a vacant position starts at
+   [sentinel], each admission subtracts its [rem] from every later
+   position and overwrites its own with [slack]. So even "no admitted
+   position in range" answers must match to the unit; an empty range
+   (after the last position) answers the sentinel. Every answer is
+   also read back after a burst of probes elsewhere: a probe must not
+   change what the index answers. One tree instance runs every size in
+   turn, then the sizes again in reverse, so each [reset] to a smaller
+   n follows a larger, fully written one: stale storage and pending
+   adds must not leak. *)
 let test_random_vs_oracle () =
   let rs = Test_support.rand_state () in
   let t = Slack_tree.create () in
@@ -168,30 +188,46 @@ let test_random_vs_oracle () =
       let rem_at = Array.make n 0 in
       let vacant = ref (List.init n (fun p -> p)) in
       let msg q = Printf.sprintf "n=%d %s" n q in
-      let check_queries () =
-        if n > 0 then begin
-          let pos = Random.State.int rs n in
-          let expect = ref 0 in
-          for q = 0 to pos do
-            expect := !expect + rem_at.(q)
-          done;
-          Alcotest.(check int)
-            (msg (Printf.sprintf "prefix_rem %d" pos))
-            !expect
-            (Slack_tree.prefix_rem t ~pos)
-        end;
-        let pos = Random.State.int rs (n + 2) in
-        let expect = ref sentinel in
-        for q = pos to n - 1 do
-          expect := min !expect v.(q)
+      let expect_before pos =
+        let acc = ref 0 in
+        for q = 0 to pos - 1 do
+          acc := !acc + rem_at.(q)
         done;
-        Alcotest.(check int)
-          (msg (Printf.sprintf "suffix_min %d" pos))
-          !expect
-          (Slack_tree.suffix_min t ~pos);
+        !acc
+      in
+      let expect_after pos =
+        let acc = ref sentinel in
+        for q = pos + 1 to n - 1 do
+          acc := min !acc v.(q)
+        done;
+        !acc
+      in
+      let check_queries () =
         Alcotest.(check int) (msg "min_all")
           (Array.fold_left min sentinel v)
-          (Slack_tree.min_all t)
+          (Slack_tree.min_all t);
+        if n > 0 then begin
+          let pos = Random.State.int rs n in
+          let pr = Slack_tree.probe t ~pos in
+          let b = pr.Slack_tree.before and a = pr.Slack_tree.after in
+          Alcotest.(check int)
+            (msg (Printf.sprintf "before %d" pos))
+            (expect_before pos) b;
+          Alcotest.(check int)
+            (msg (Printf.sprintf "after %d" pos))
+            (expect_after pos) a;
+          let m = Slack_tree.min_all t in
+          for _ = 1 to 4 do
+            ignore (Slack_tree.probe t ~pos:(Random.State.int rs n))
+          done;
+          let again = Slack_tree.probe t ~pos in
+          Alcotest.(check (pair int int))
+            (msg (Printf.sprintf "probe %d unchanged by probes" pos))
+            (b, a)
+            (again.Slack_tree.before, again.Slack_tree.after);
+          Alcotest.(check int) (msg "min_all unchanged by probes") m
+            (Slack_tree.min_all t)
+        end
       in
       check_queries ();
       (* Admit about three quarters of the positions, in random order. *)
@@ -201,7 +237,8 @@ let test_random_vs_oracle () =
         vacant := List.filter (( <> ) pos) !vacant;
         let rem = 1 + Random.State.int rs 1000 in
         let slack = Random.State.int rs 200_000 - 1000 in
-        Slack_tree.admit t ~pos ~rem ~slack;
+        ignore (Slack_tree.probe t ~pos);
+        Slack_tree.admit t ~rem ~slack;
         for q = pos + 1 to n - 1 do
           v.(q) <- v.(q) - rem
         done;
@@ -210,14 +247,12 @@ let test_random_vs_oracle () =
         check_queries ()
       done;
       for pos = 0 to n - 1 do
-        let expect = ref sentinel in
-        for q = pos to n - 1 do
-          expect := min !expect v.(q)
-        done;
         Alcotest.(check int)
-          (msg (Printf.sprintf "final suffix_min %d" pos))
-          !expect
-          (Slack_tree.suffix_min t ~pos)
+          (msg (Printf.sprintf "final before %d" pos))
+          (expect_before pos) (before t pos);
+        Alcotest.(check int)
+          (msg (Printf.sprintf "final after %d" pos))
+          (expect_after pos) (after t pos)
       done)
     (sizes @ List.rev sizes)
 
