@@ -33,7 +33,11 @@ type t = {
     synchronisation overheads. The array is read-only to the scheduler
     and not retained past the call, so the simulator can hand over its
     cached live view without copying. Entries that are not live
-    (completed/aborted) are tolerated and ignored. *)
+    (completed/aborted) are tolerated and ignored. A caller that hands
+    the same physical array over again may have changed its jobs'
+    states but not which job sits at which index: deciders key the
+    state they carry across calls on the array's identity, as
+    [Live_view] (a fresh array after every membership change) allows. *)
 
 val idle_decision : decision
 (** [idle_decision] dispatches nothing at zero cost. *)
