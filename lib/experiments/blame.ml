@@ -44,6 +44,10 @@ let spec ~load =
 let attribute ~load ~sync tasks =
   let mode = Common.Fast in
   let res = Common.simulate ~mode ~sync ~trace:true ~seed:7 tasks in
+  (* Read what the row needs up front, so the rest of the result (its
+     samples, completed jobs and the trace's newest-first list) can go
+     while the attribution runs. *)
+  let sync_name = res.Simulator.sync_name and aur = res.Simulator.aur in
   match Attribution.of_trace ~tasks res.Simulator.trace with
   | Error msg -> failwith ("blame: attribution refused: " ^ msg)
   | Ok a ->
@@ -55,8 +59,8 @@ let attribute ~load ~sync tasks =
     in
     {
       load;
-      sync_name = res.Simulator.sync_name;
-      aur = res.Simulator.aur;
+      sync_name;
+      aur;
       resolved = List.length a.Attribution.jobs;
       sojourn_ns;
       own = share (total (fun j -> j.Attribution.own));
